@@ -32,8 +32,9 @@ struct Throughput {
 };
 
 Throughput measure(const dsn::SensorNetwork& net, dsn::NodeId source,
-                   const dsn::ProtocolOptions& opts, int minReps,
-                   double minSeconds = 0.15) {
+                   dsn::SimScheduling scheduling, int minReps) {
+  dsn::ProtocolOptions opts;
+  opts.scheduling = scheduling;
   net.broadcast(dsn::BroadcastScheme::kCff, source, 1, opts);  // warm-up
 
   // Time-targeted: a single small-n broadcast runs in microseconds, so a
@@ -54,22 +55,11 @@ Throughput measure(const dsn::SensorNetwork& net, dsn::NodeId source,
     secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          t0)
                .count();
-    if (done >= minReps && (secs >= minSeconds || done >= minReps * 200))
+    if (done >= minReps && (secs >= 0.15 || done >= minReps * 200))
       break;
   }
   return {rounds / secs, deliveries / secs};
 }
-
-Throughput measure(const dsn::SensorNetwork& net, dsn::NodeId source,
-                   dsn::SimScheduling scheduling, int minReps) {
-  dsn::ProtocolOptions opts;
-  opts.scheduling = scheduling;
-  return measure(net, source, opts, minReps);
-}
-
-}  // namespace
-
-namespace {
 
 // The --trace-overhead mode: one 2000-node CFF cell timed with the
 // flight recorder off, sampled (every 8th round), and on every round.
@@ -121,78 +111,16 @@ int runTraceOverhead(dsn::ExperimentConfig cfg) {
   return 0;
 }
 
-// The --scale mode: one grid-deployed CFF cell at n = 100k (or 1M with
-// --big), timed under the serial active-set engine (threads = 0) and the
-// sharded engine at 1/2/4/8 workers. Grid deployment keeps network
-// construction linear in n; the speedup column is relative to the
-// sharded engine's own single-thread run so CI can gate thread scaling
-// without a committed wall-clock number. Emits
-// results/BENCH_perf_scale.json, never the "perf" record.
-int runScale(dsn::ExperimentConfig cfg, std::size_t n) {
-  using namespace dsn;
-  cfg.nodeCounts = {n};
-  bench::printHeader("PerfScale",
-                     "sharded thread scaling, grid CFF broadcast", cfg);
-
-  const int fieldUnits = static_cast<int>(
-      std::ceil(std::sqrt(static_cast<double>(n) / 5.0)));
-  NetworkConfig nc;
-  nc.field = Field::squareUnits(fieldUnits, cfg.unitMeters);
-  nc.range = cfg.range;
-  nc.nodeCount = n;
-  nc.seed = cfg.trialSeed(n, 0);
-  nc.deployment = DeploymentKind::kGrid;
-  const SensorNetwork net(nc);
-  Rng rng(cfg.trialSeed(n, 1));
-  const NodeId source = net.randomNode(rng);
-
-  auto shardedOpts = [](int threads) {
-    ProtocolOptions o;
-    o.threads = threads;
-    return o;
-  };
-  // One rep minimum, half a second target: a single run at these sizes
-  // already lasts long enough to time, and the cell count is what makes
-  // this bench expensive.
-  constexpr double kScaleSeconds = 0.5;
-  const Throughput serial =
-      measure(net, source, ProtocolOptions{}, 1, kScaleSeconds);
-  const Throughput one =
-      measure(net, source, shardedOpts(1), 1, kScaleSeconds);
-  std::vector<std::vector<double>> rows;
-  rows.push_back({static_cast<double>(n), 0.0, serial.roundsPerSec,
-                  serial.deliveriesPerSec,
-                  serial.roundsPerSec / one.roundsPerSec});
-  rows.push_back({static_cast<double>(n), 1.0, one.roundsPerSec,
-                  one.deliveriesPerSec, 1.0});
-  for (const int t : {2, 4, 8}) {
-    const Throughput m =
-        measure(net, source, shardedOpts(t), 1, kScaleSeconds);
-    rows.push_back({static_cast<double>(n), static_cast<double>(t),
-                    m.roundsPerSec, m.deliveriesPerSec,
-                    m.roundsPerSec / one.roundsPerSec});
-  }
-  bench::emitBench(
-      "perf_scale", "PerfScale — sharded thread scaling (grid CFF broadcast)",
-      {"n", "threads", "r/s", "dlv/s", "speedup"}, rows, cfg, 2);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace dsn;
   auto cfg = bench::defaultConfig(argc, argv);
   bench::jobsArg(argc, argv);  // accepted for CI symmetry; timing is serial
-  bool scale = false;
-  bool big = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-overhead") == 0)
       return runTraceOverhead(cfg);
-    if (std::strcmp(argv[i], "--scale") == 0) scale = true;
-    if (std::strcmp(argv[i], "--big") == 0) big = true;
   }
-  if (scale) return runScale(cfg, big ? 1'000'000 : 100'000);
   cfg.nodeCounts = {500, 2000, 5000};
   bench::printHeader("Perf", "simulator throughput, active-set vs full-scan",
                      cfg);

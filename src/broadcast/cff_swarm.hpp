@@ -6,11 +6,6 @@
 // round-for-round behaviour — actions, wake hints, done transitions — is
 // identical by construction: both implementations are ports of the same
 // state machine, and the differential tests pin them to each other.
-//
-// Thread-safety (SwarmProtocol contract): the sharded scheduler calls
-// onRound/onReceive/isDone/nextWake for *distinct* nodes concurrently.
-// Every method here touches only node v's array slots — distinct memory
-// locations — so no atomics are needed; nothing is shared mutable.
 #pragma once
 
 #include <cstdint>

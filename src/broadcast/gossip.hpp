@@ -9,7 +9,7 @@
 // Both keep flooding's contention backoff (uniform delay in [1, window])
 // and its exact nextWake schedule: a served node sleeps out its backoff
 // and wakes only for the relay round, so the protocol runs unmodified on
-// the active-set and sharded schedulers. The relay coin is flipped ONCE,
+// the active-set scheduler. The relay coin is flipped ONCE,
 // at first receipt, from a per-node RNG seeded `seed ^ f(self)` — which
 // is what makes a gossip run a pure function of (graph, source, seed).
 #pragma once

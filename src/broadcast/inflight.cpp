@@ -8,7 +8,6 @@
 #include "broadcast/runner_detail.hpp"
 #include "broadcast/tdm.hpp"
 #include "cluster/soa.hpp"
-#include "graph/unit_disk.hpp"
 #include "util/error.hpp"
 
 namespace dsn {
@@ -17,7 +16,7 @@ InFlightBroadcast::InFlightBroadcast(const ClusterNet& net,
                                      BroadcastScheme scheme, NodeId source,
                                      std::uint64_t payload,
                                      const ProtocolOptions& options)
-    : graph_(net.graph()), options_(options) {
+    : graph_(net.graph()) {
   DSN_REQUIRE(net.contains(source),
               "in-flight broadcast source must be in the net");
   DSN_REQUIRE(isSlottedScheme(scheme),
@@ -27,9 +26,9 @@ InFlightBroadcast::InFlightBroadcast(const ClusterNet& net,
   admitSize_ = graph_.size();
   displaced_.assign(admitSize_, 0);
   if (scheme == BroadcastScheme::kCff)
-    admitCff(net, source, payload);
+    admitCff(net, source, payload, options);
   else
-    admitIcff(net, source, payload);
+    admitIcff(net, source, payload, options);
   // Start the engine at round 0 without executing anything, so the seam
   // (resyncTopology) is usable even before the first advance.
   lastResult_ = sim_->runUntil(0);
@@ -38,7 +37,8 @@ InFlightBroadcast::InFlightBroadcast(const ClusterNet& net,
 InFlightBroadcast::~InFlightBroadcast() = default;
 
 void InFlightBroadcast::admitCff(const ClusterNet& net, NodeId source,
-                                 std::uint64_t payload) {
+                                 std::uint64_t payload,
+                                 const ProtocolOptions& options) {
   // Mirrors runCffBroadcast's admission exactly: the schedule an
   // in-flight wave carries is the one a one-shot run would compute.
   std::vector<NodeId> path;
@@ -47,23 +47,23 @@ void InFlightBroadcast::admitCff(const ClusterNet& net, NodeId source,
   const Round floodStart = static_cast<Round>(path.size()) - 1;
 
   const TimeSlot window = net.rootMaxUSlot();
-  const TdmMap tdm(window == 0 ? 1 : window, options_.channels);
+  const TdmMap tdm(window == 0 ? 1 : window, options.channels);
   schedule_ = floodStart +
               static_cast<Round>(net.height() + 1) * tdm.windowLength();
 
   SimConfig cfg;
-  cfg.channelCount = options_.channels;
-  cfg.maxRounds = options_.maxRounds > 0 ? options_.maxRounds : schedule_ + 4;
-  cfg.traceCapacity = options_.traceCapacity;
-  detail::applyScheduling(cfg, options_);
+  cfg.channelCount = options.channels;
+  cfg.maxRounds = options.maxRounds > 0 ? options.maxRounds : schedule_ + 4;
+  cfg.traceCapacity = options.traceCapacity;
+  detail::applyScheduling(cfg, options);
   horizon_ = cfg.maxRounds;
 
   sim_ = std::make_unique<RadioSimulator>(graph_, cfg);
-  detail::applyFailures(*sim_, options_);
+  detail::applyFailures(*sim_, options);
 
   CffSwarmConfig sc;
   sc.window = window;
-  sc.channels = options_.channels;
+  sc.channels = options.channels;
   sc.floodStart = floodStart;
   sc.payload = payload;
   auto swarm = std::make_unique<CffSwarm>(sc, graph_.size());
@@ -91,7 +91,8 @@ void InFlightBroadcast::admitCff(const ClusterNet& net, NodeId source,
 }
 
 void InFlightBroadcast::admitIcff(const ClusterNet& net, NodeId source,
-                                  std::uint64_t payload) {
+                                  std::uint64_t payload,
+                                  const ProtocolOptions& options) {
   // Mirrors runIcff's full-flood admission (no group filter).
   std::vector<NodeId> path;
   for (NodeId v = source; v != kInvalidNode; v = net.parent(v))
@@ -108,21 +109,21 @@ void InFlightBroadcast::admitIcff(const ClusterNet& net, NodeId source,
 
   const TimeSlot bWindow = net.rootMaxBSlot();
   const TimeSlot lWindow = net.rootMaxLSlot();
-  const TdmMap bTdm(bWindow == 0 ? 1 : bWindow, options_.channels);
-  const TdmMap lTdm(lWindow == 0 ? 1 : lWindow, options_.channels);
+  const TdmMap bTdm(bWindow == 0 ? 1 : bWindow, options.channels);
+  const TdmMap lTdm(lWindow == 0 ? 1 : lWindow, options.channels);
   schedule_ = backboneStart +
               static_cast<Round>(backboneHeight + 1) * bTdm.windowLength() +
               lTdm.windowLength();
 
   SimConfig cfg;
-  cfg.channelCount = options_.channels;
-  cfg.maxRounds = options_.maxRounds > 0 ? options_.maxRounds : schedule_ + 4;
-  cfg.traceCapacity = options_.traceCapacity;
-  detail::applyScheduling(cfg, options_);
+  cfg.channelCount = options.channels;
+  cfg.maxRounds = options.maxRounds > 0 ? options.maxRounds : schedule_ + 4;
+  cfg.traceCapacity = options.traceCapacity;
+  detail::applyScheduling(cfg, options);
   horizon_ = cfg.maxRounds;
 
   sim_ = std::make_unique<RadioSimulator>(graph_, cfg);
-  detail::applyFailures(*sim_, options_);
+  detail::applyFailures(*sim_, options);
 
   endpoints_.assign(graph_.size(), nullptr);
 
@@ -140,7 +141,7 @@ void InFlightBroadcast::admitIcff(const ClusterNet& net, NodeId source,
     nc.lSlot = nc.backbone ? sched.lSlot(v) : kNoSlot;
     nc.bWindow = bWindow;
     nc.lWindow = lWindow;
-    nc.channels = options_.channels;
+    nc.channels = options.channels;
     nc.backboneStart = backboneStart;
     nc.backboneHeight = backboneHeight;
     nc.isSource = v == source;
@@ -165,14 +166,6 @@ void InFlightBroadcast::advanceTo(Round stop) {
 
 void InFlightBroadcast::noteDisplaced(NodeId v) {
   if (v < displaced_.size()) displaced_[v] = 1;
-}
-
-void InFlightBroadcast::refreshPositions(const UnitDiskIndex& index) {
-  auto& pos = options_.nodePositions;
-  if (pos.empty()) return;  // the wave runs without a position partition
-  pos.resize(graph_.size());
-  for (NodeId v = 0; v < graph_.size(); ++v)
-    if (index.contains(v)) pos[v] = index.position(v);
 }
 
 void InFlightBroadcast::onTopologyChanged() {

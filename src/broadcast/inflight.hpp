@@ -14,7 +14,6 @@
 //   wave.advanceTo(64);              // first 64 rounds
 //   net.moveSensor(v, elsewhere);    // topology changes under the wave
 //   wave.noteDisplaced(v);
-//   wave.refreshPositions(net);
 //   wave.onTopologyChanged();        // resync the paused engines
 //   wave.runToCompletion();
 //   InFlightReport r = wave.finish();
@@ -31,7 +30,6 @@
 namespace dsn {
 
 class CffSwarm;
-class UnitDiskIndex;
 
 /// Outcome of one in-flight wave, with degraded-coverage accounting.
 /// `intended` splits into three disjoint classes at completion time:
@@ -72,13 +70,11 @@ struct InFlightReport {
 
 /// A resumable CFF/iCFF broadcast wave. Supports kCff and kImprovedCff;
 /// the token tour (kDfo) has no collision-free schedule to preserve and
-/// is rejected. Bit-identical across scheduling modes and thread counts,
-/// segment boundaries included (the engines' seam contract).
+/// is rejected. Bit-identical across scheduling modes, segment
+/// boundaries included (the engines' seam contract).
 class InFlightBroadcast {
  public:
-  /// Admits the wave against `net`'s schedule as of now. `options` is
-  /// copied; the sharded scheduler's position borrow points into the
-  /// copy, so the caller may update positions() as nodes move.
+  /// Admits the wave against `net`'s schedule as of now.
   InFlightBroadcast(const ClusterNet& net, BroadcastScheme scheme,
                     NodeId source, std::uint64_t payload,
                     const ProtocolOptions& options);
@@ -96,15 +92,8 @@ class InFlightBroadcast {
   /// crashed, or re-homed by a repair); it leaves the settled class.
   void noteDisplaced(NodeId v);
 
-  /// The mutable position buffer the sharded engine partitions by.
-  /// Refresh before onTopologyChanged() when nodes moved or joined.
-  std::vector<Point2D>& positions() { return options_.nodePositions; }
-  /// Convenience: re-fills positions() from the live deployment index
-  /// (no-op when the wave runs without positions).
-  void refreshPositions(const UnitDiskIndex& index);
-
   /// Re-syncs the paused engines after an external mutation of the
-  /// graph, positions, or failure schedule.
+  /// graph or failure schedule.
   void onTopologyChanged();
 
   bool finished() const { return sim_->finished(); }
@@ -130,7 +119,6 @@ class InFlightBroadcast {
 
  private:
   const Graph& graph_;
-  ProtocolOptions options_;  // owned; sim borrows nodePositions
   Round schedule_ = 0;
   Round horizon_ = 0;
   std::vector<NodeId> intended_;
@@ -141,8 +129,10 @@ class InFlightBroadcast {
   std::unique_ptr<RadioSimulator> sim_;
   SimResult lastResult_;
 
-  void admitCff(const ClusterNet& net, NodeId source, std::uint64_t payload);
-  void admitIcff(const ClusterNet& net, NodeId source, std::uint64_t payload);
+  void admitCff(const ClusterNet& net, NodeId source, std::uint64_t payload,
+                const ProtocolOptions& options);
+  void admitIcff(const ClusterNet& net, NodeId source, std::uint64_t payload,
+                 const ProtocolOptions& options);
 };
 
 }  // namespace dsn

@@ -56,23 +56,15 @@ struct ProtocolOptions {
   std::uint64_t failureSeed = 0xFA11FA11ull;
   /// Event-trace capacity (0 = off).
   std::size_t traceCapacity = 0;
-  /// Simulator scheduling strategy. All modes produce bit-identical
+  /// Simulator scheduling strategy. Both modes produce bit-identical
   /// runs; the full scan exists as a differential oracle and as the
-  /// perf-bench reference (see DESIGN.md §12), kSharded spreads each
-  /// round over a thread pool (DESIGN.md §14).
+  /// perf-bench reference (see DESIGN.md §12).
   SimScheduling scheduling = SimScheduling::kActiveSet;
-  /// Worker threads. 0 leaves `scheduling` as given; >0 forces
-  /// SimScheduling::kSharded with that many threads (1 = the sharded
-  /// engine inline on the calling thread — useful for determinism
-  /// tests and as the scale baseline).
+  /// Ignored. It selected the sharded round engine, which was removed
+  /// because it ran slower than the serial engine at every thread count
+  /// (DESIGN.md §14). It stays only because perfbench/src/
+  /// grid_workload.cpp still assigns it; nothing else reads or writes it.
   int threads = 0;
-  /// kSharded tile-partition knobs (result-neutral; see SimConfig).
-  /// tileMinEdge defaults to the radio range via
-  /// SensorNetwork::withPositions; 0 with no positions falls back to
-  /// id-block tiles.
-  double tileMinEdge = 0.0;
-  std::uint32_t tileTarget = 0;
-  std::size_t shardSerialThreshold = 256;
   /// External resolve-scratch lease (borrowed, must outlive the run;
   /// see SimConfig::resolveScratch). The serve engine points every job
   /// at its worker's pooled scratch so repeated runs stop reallocating

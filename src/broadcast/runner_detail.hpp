@@ -9,20 +9,10 @@
 
 namespace dsn::detail {
 
-/// Applies the scheduling knobs of `options` to a SimConfig. `options`
-/// must outlive the simulator run: the sharded scheduler borrows the
-/// position vector for its tile partition.
+/// Applies the scheduling knobs of `options` to a SimConfig. The
+/// resolve-scratch lease, when set, must outlive the simulator run.
 inline void applyScheduling(SimConfig& cfg, const ProtocolOptions& options) {
   cfg.scheduling = options.scheduling;
-  if (options.threads > 0) {
-    cfg.scheduling = SimScheduling::kSharded;
-    cfg.threads = options.threads;
-  }
-  if (!options.nodePositions.empty())
-    cfg.nodePositions = &options.nodePositions;
-  cfg.tileMinEdge = options.tileMinEdge;
-  cfg.tileTarget = options.tileTarget;
-  cfg.shardSerialThreshold = options.shardSerialThreshold;
   cfg.resolveScratch = options.resolveScratch;
 }
 

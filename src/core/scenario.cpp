@@ -670,6 +670,10 @@ ScenarioOutcome runScenario(SensorNetwork& net,
             }
             if (net.size() <= 2) continue;
             const NodeId v = net.randomNode(rng);
+            // A node that crashed earlier (this tick, or in an unrepaired
+            // `crash` event) stays in the net until the next repair; it
+            // can neither crash again nor leave, so the draw is skipped.
+            if (!net.graph().isAlive(v)) continue;
             if (pick == 0) {
               net.crashSensor(v);
               ++crashes;

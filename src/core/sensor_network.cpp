@@ -221,19 +221,15 @@ bool SensorNetwork::rejoinSensor(NodeId v) {
 
 ProtocolOptions SensorNetwork::withPositions(
     const ProtocolOptions& options, bool force) const {
-  // Jam zones need positions for the radio model; the sharded scheduler
-  // (threads > 0) wants them for its spatial tile partition; the
-  // distance-based suppression rival needs them for its protocol logic.
-  const bool needsPositions =
-      force || !options.jamZones.empty() || options.threads > 0;
+  // Jam zones need positions for the radio model; the distance-based
+  // suppression rival needs them for its protocol logic.
+  const bool needsPositions = force || !options.jamZones.empty();
   if (!needsPositions || !options.nodePositions.empty()) return options;
   ProtocolOptions filled = options;
   filled.nodePositions.resize(graph_->size());
   for (NodeId v = 0; v < graph_->size(); ++v) {
     if (index_.contains(v)) filled.nodePositions[v] = index_.position(v);
   }
-  if (filled.threads > 0 && filled.tileMinEdge <= 0.0)
-    filled.tileMinEdge = range_;
   return filled;
 }
 

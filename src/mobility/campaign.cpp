@@ -32,18 +32,14 @@ CampaignResult runMobilityCampaign(SensorNetwork& net, ChurnEngine& churn,
   Round waveStart = 0;
   Round nextWave = 0;
 
-  // Per-wave options; positions are filled when the sharded scheduler
-  // (or a jam zone) needs them and refreshed at every resync.
+  // Per-wave options; positions are filled when a jam zone needs them.
   const auto makeOptions = [&]() {
     ProtocolOptions opt = cfg.protocol;
-    const bool needsPositions = opt.threads > 0 || !opt.jamZones.empty();
-    if (needsPositions && opt.nodePositions.empty()) {
+    if (!opt.jamZones.empty() && opt.nodePositions.empty()) {
       const std::size_t n = net.graph().size();
       opt.nodePositions.resize(n);
       for (NodeId v = 0; v < n; ++v)
         if (net.index().contains(v)) opt.nodePositions[v] = net.index().position(v);
-      if (opt.threads > 0 && opt.tileMinEdge <= 0.0)
-        opt.tileMinEdge = net.range();
     }
     return opt;
   };
@@ -146,7 +142,6 @@ CampaignResult runMobilityCampaign(SensorNetwork& net, ChurnEngine& churn,
     const ChurnTick t = churn.tick(r);
     if (wave) {
       for (NodeId v : t.disturbed) wave->noteDisplaced(v);
-      wave->refreshPositions(net.index());
       wave->onTopologyChanged();
     }
   }

@@ -16,8 +16,8 @@
 // and a settled node counts as covered when any attempt delivered.
 //
 // The whole campaign is a deterministic function of its config: the
-// result digest is bit-identical across scheduling modes, thread counts
-// and process runs, which the churn-smoke CI job byte-compares.
+// result digest is bit-identical across scheduling modes and process
+// runs.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +43,7 @@ struct CampaignConfig {
   /// repaired structure, and credit union coverage.
   bool repairWaves = true;
   std::size_t maxRepairWaves = 2;
-  /// Per-wave protocol knobs (threads > 0 runs every wave sharded; the
-  /// campaign refreshes the position partition at every resync).
+  /// Per-wave protocol knobs.
   ProtocolOptions protocol;
   std::uint64_t sourceSeed = 0x5EED;
 };
@@ -65,7 +64,7 @@ struct CampaignResult {
   std::size_t settledCovered = 0;
   ChurnTotals churn;
   /// FNV-1a fold of every wave outcome + churn totals; identical across
-  /// scheduling modes and thread counts.
+  /// scheduling modes.
   std::uint64_t digest = 0;
 
   /// The acceptance-gate number: union coverage of settled receivers.

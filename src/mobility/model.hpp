@@ -7,8 +7,7 @@
 // incremental withdraw + re-join against the cluster structure.
 //
 // All models are deterministic functions of (config, seed, call
-// sequence): the same campaign replays bit-identically at any thread
-// count, which is what lets the churn-smoke CI job byte-compare runs.
+// sequence): the same campaign replays bit-identically.
 #pragma once
 
 #include <cstdint>

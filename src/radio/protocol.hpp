@@ -57,11 +57,7 @@ class NodeProtocol {
 /// what makes million-node runs fit in cache (DESIGN.md §14).
 ///
 /// Contracts are per-node NodeProtocol contracts verbatim (isDone
-/// monotone, nextWake sleep-is-pure, etc.). Additionally, because the
-/// sharded scheduler calls into the swarm from several threads at once
-/// (always for *distinct* nodes; never the same node concurrently),
-/// implementations must keep cross-node shared writes atomic — e.g. a
-/// delivered bitset whose words span nodes needs atomic fetch_or.
+/// monotone, nextWake sleep-is-pure, etc.).
 class SwarmProtocol {
  public:
   virtual ~SwarmProtocol() = default;

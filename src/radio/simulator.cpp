@@ -589,9 +589,6 @@ SimResult RadioSimulator::runUntil(Round stop) {
       case SimScheduling::kFullScan:
         engine_ = std::make_unique<FullScanEngine>(*this);
         break;
-      case SimScheduling::kSharded:
-        engine_ = makeShardEngine(*this);
-        break;
       case SimScheduling::kActiveSet:
         engine_ = std::make_unique<ActiveSetEngine>(*this);
         break;
@@ -613,9 +610,6 @@ void RadioSimulator::resyncTopology() {
   if (protocols_.size() < n) protocols_.resize(n);
   if (swarm_ && swarmMember_.size() < n) swarmMember_.resize(n, 0);
   energy_.growTo(n);
-  // Refresh the CSR snapshot here, on the coordinating thread, so worker
-  // threads in the sharded engine only ever read a fresh cache.
-  graph_.csrView();
   engine_->resync();
 }
 

@@ -17,11 +17,10 @@
 #include "radio/failure.hpp"
 #include "radio/protocol.hpp"
 #include "radio/trace.hpp"
-#include "util/geometry.hpp"
 
 namespace dsn {
 
-/// How the simulator schedules per-round work. All modes produce
+/// How the simulator schedules per-round work. Both modes produce
 /// bit-identical results (traces, energy, RNG draws, round counts);
 /// kFullScan is kept as the differential oracle and micro-bench baseline.
 enum class SimScheduling {
@@ -32,12 +31,6 @@ enum class SimScheduling {
   /// The original loop: scan all V protocols every round and resolve the
   /// channel over the whole graph.
   kFullScan,
-  /// Active-set semantics with one round's phase-1 + collision-resolve
-  /// sharded across worker threads by spatial tile (DESIGN.md §14).
-  /// Per-tile results merge at the round barrier in global node order,
-  /// so the output is bit-identical to the two serial modes at any
-  /// thread count.
-  kSharded,
 };
 
 /// Static configuration of one simulation run.
@@ -55,29 +48,9 @@ struct SimConfig {
   /// instead of its own member — a serve loop or parallel bench pools
   /// one per worker so back-to-back runs reuse warm O(V·k) tables
   /// instead of reallocating them per run. prepare() is called on it at
-  /// seed time (idempotent, never shrinks). Ignored by kFullScan;
-  /// kSharded keeps its per-tile scratch. Results are bit-identical
-  /// with or without it.
+  /// seed time (idempotent, never shrinks). Ignored by kFullScan.
+  /// Results are bit-identical with or without it.
   ResolveScratch* resolveScratch = nullptr;
-
-  // ---- kSharded knobs (ignored by the serial modes). None of them
-  // affect results, only how the identical work is laid out.
-
-  /// Worker threads (including the coordinator); clamped to >= 1.
-  int threads = 1;
-  /// Node positions for the spatial tile partition; borrowed, must
-  /// outlive run(). Null falls back to contiguous id-block tiles.
-  const std::vector<Point2D>* nodePositions = nullptr;
-  /// Tile edge lower bound for the spatial partition — use the radio
-  /// range so a neighborhood spans at most one tile boundary per axis.
-  double tileMinEdge = 0.0;
-  /// Approximate tile count (0 = default). Fixed per run, never derived
-  /// from `threads`: the tile structure must not change with the worker
-  /// count.
-  std::uint32_t tileTarget = 0;
-  /// Rounds whose previous active count is below this run on the
-  /// coordinator alone (worker wake-up costs more than the round).
-  std::size_t shardSerialThreshold = 256;
 };
 
 /// Aggregate result of a run.
@@ -102,7 +75,7 @@ class RadioSimulator;
 /// failure schedule, or protocol state between segments (DESIGN.md §15).
 /// One engine instance spans the whole run; a classic run() is a single
 /// segment to maxRounds. Each SimScheduling mode provides one subclass,
-/// and all of them produce bit-identical segment results.
+/// and both produce bit-identical segment results.
 class SimEngine {
  public:
   explicit SimEngine(RadioSimulator& sim) : sim_(sim) {}
@@ -133,9 +106,6 @@ class SimEngine {
   Round cursor_ = 0;
   bool done_ = false;
 };
-
-/// Factory for the kSharded engine (defined in shard.cpp).
-std::unique_ptr<SimEngine> makeShardEngine(RadioSimulator& sim);
 
 /// Owns the protocols and runs the round loop.
 class RadioSimulator {
@@ -172,8 +142,8 @@ class RadioSimulator {
   /// then call resyncTopology() before resuming. A run segmented at any
   /// set of boundaries with no mutations is bit-identical to run(); with
   /// mutations the outcome is still deterministic and identical across
-  /// all scheduling modes and thread counts (the reconfiguration seam's
-  /// contract — DESIGN.md §15).
+  /// both scheduling modes (the reconfiguration seam's contract —
+  /// DESIGN.md §15).
   SimResult runUntil(Round stop);
   /// True once the run has finished (completed or budget-exhausted).
   bool finished() const { return engine_ != nullptr && engine_->done(); }
@@ -181,8 +151,8 @@ class RadioSimulator {
   Round cursor() const { return engine_ ? engine_->cursor() : 0; }
   /// Re-syncs a paused run after external mutation: grows per-node state
   /// for freshly added ids (which sleep forever unless they are swarm
-  /// members), refreshes the CSR snapshot on this thread, and re-seeds
-  /// the engine's wake structures from the protocols' nextWake hints.
+  /// members) and re-seeds the engine's wake structures from the
+  /// protocols' nextWake hints.
   void resyncTopology();
 
   const EnergyMeter& energy() const { return energy_; }
@@ -226,7 +196,6 @@ class RadioSimulator {
 
   friend class ActiveSetEngine;
   friend class FullScanEngine;
-  friend class ShardEngine;
 };
 
 }  // namespace dsn

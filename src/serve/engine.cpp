@@ -123,8 +123,6 @@ void appendConfig(std::string& out, const ServeJob& job) {
   appendDouble(out, job.drop);
   out += ",\"channels\":";
   appendU64(out, job.channels);
-  out += ",\"threads\":";
-  appendI64(out, job.threads);
   out += ",\"protocol\":";
   if (job.protocol) {
     out += '"';

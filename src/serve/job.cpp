@@ -123,7 +123,6 @@ ScenarioOptions jobScenarioOptions(const ServeJob& job) {
   sopt.seed = job.seed ^ 0xCAFE;  // the wsn_sim derivation
   sopt.protocol.dropProbability = job.drop;
   sopt.protocol.channels = job.channels;
-  sopt.protocol.threads = job.threads;
   sopt.protocol.traceCapacity = job.traceCapacity;
   sopt.forceScheme = job.protocol;
   return sopt;
@@ -174,7 +173,6 @@ ServeJob parseJobLine(const std::string& line, std::size_t index,
       job.protocol = scheme;
     }
     job.traceCapacity = uintField(doc, "trace_cap", 0);
-    job.threads = static_cast<int>(uintField(doc, "threads", 0));
     job.autoRepair = boolField(doc, "auto_repair", false);
     if (!doc.has("scenario")) fieldFail("scenario", "required");
     job.scenarioText = stringField(doc, "scenario", "");
@@ -217,10 +215,6 @@ std::string formatJobLine(const ServeJob& job) {
   if (job.traceCapacity > 0) {
     out += ",\"trace_cap\":";
     out += std::to_string(job.traceCapacity);
-  }
-  if (job.threads > 0) {
-    out += ",\"threads\":";
-    out += std::to_string(job.threads);
   }
   if (job.autoRepair) out += ",\"auto_repair\":true";
   out += ",\"scenario\":\"";

@@ -5,7 +5,7 @@
 //
 //   {"schema":"dsnet-job-v1","id":7,"nodes":200,"seed":2007,
 //    "field_units":10,"range":50.0,"deploy":"attach","channels":1,
-//    "drop":0.0,"protocol":"icff","trace_cap":0,"threads":0,
+//    "drop":0.0,"protocol":"icff","trace_cap":0,
 //    "scenario":"broadcast random icff\ngather"}
 //
 // Required: `schema`, `nodes`, `scenario` (scenario grammar as in
@@ -47,7 +47,6 @@ struct ServeJob {
   double drop = 0.0;
   std::optional<BroadcastScheme> protocol;
   std::size_t traceCapacity = 0;
-  int threads = 0;
   bool autoRepair = false;
   std::string scenarioText;
   /// Parsed form of `scenarioText` (filled by parseJobLine).

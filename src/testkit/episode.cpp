@@ -99,8 +99,6 @@ class Episode {
     ProtocolOptions o;
     o.channels = options_.channels;
     o.traceCapacity = options_.traceCapacity;
-    o.threads = options_.threads;
-    o.shardSerialThreshold = options_.shardSerialThreshold;
     o.failureSeed =
         failureSeed(program_.seed, static_cast<std::uint64_t>(opIndex_));
     o.arena.seed =

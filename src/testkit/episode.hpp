@@ -44,14 +44,6 @@ struct EpisodeOptions {
   /// running it — the deliberate-bug acceptance mode. A vulnerable
   /// episode then fails with class "cff-plan-coverage".
   bool injectCffSlotBug = false;
-  /// > 0 routes every broadcast leg through the sharded round engine
-  /// with this worker count. The campaign digest must be identical to
-  /// the serial engines' — sharding is bit-exact by construction.
-  int threads = 0;
-  /// Pop-count floor below which a sharded round runs on the caller
-  /// thread. Fuzz nets are tiny, so campaigns that want to exercise the
-  /// parallel path set this to 0.
-  std::size_t shardSerialThreshold = 256;
 };
 
 /// Outcome of one episode.

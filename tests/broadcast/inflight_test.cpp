@@ -7,15 +7,18 @@
 //      to the one-shot runner, per scheme and per scheduling mode.
 //   2. Mid-wave reconfiguration is scheduler-invariant — the same
 //      interleaved move/crash/join program produces the same finish
-//      report and per-node delivery set at every thread count.
+//      report and per-node delivery set under the active-set engine
+//      and the full-scan oracle.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "broadcast/inflight.hpp"
 #include "broadcast/runner.hpp"
 #include "core/sensor_network.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dsn {
 namespace {
@@ -29,16 +32,9 @@ NetworkConfig paperNetwork(std::size_t n, std::uint64_t seed) {
   return cfg;
 }
 
-ProtocolOptions shardedOptions(const SensorNetwork& net, int threads) {
+ProtocolOptions withScheduling(SimScheduling scheduling) {
   ProtocolOptions opts;
-  opts.threads = threads;
-  opts.shardSerialThreshold = 0;  // force the parallel tile path
-  if (threads > 0) {
-    opts.nodePositions.resize(net.graph().size());
-    for (NodeId v = 0; v < net.graph().size(); ++v)
-      if (net.index().contains(v)) opts.nodePositions[v] = net.index().position(v);
-    opts.tileMinEdge = net.range();
-  }
+  opts.scheduling = scheduling;
   return opts;
 }
 
@@ -140,24 +136,32 @@ TEST(InFlightBroadcastTest, MoveMidWaveCountsAsDisplaced) {
   EXPECT_LE(rep.deliveredSettled, rep.settled);
 }
 
-// The interleaved program all scheduler variants must agree on. Builds
+// The interleaved programs both schedulers must agree on. Each builds
 // its own network (the program mutates it), runs the wave under the
-// given thread count, and returns (report, per-node delivery flags).
+// given scheduling mode, and returns (report, per-node delivery flags).
 struct ProgramOutcome {
   InFlightReport report;
   std::vector<std::uint8_t> deliveredFlags;
 };
 
-ProgramOutcome runInterleavedProgram(BroadcastScheme scheme, int threads) {
+ProgramOutcome finishProgram(const InFlightBroadcast& wave) {
+  ProgramOutcome out;
+  out.report = wave.finish();
+  out.deliveredFlags.reserve(wave.intended().size());
+  for (NodeId v : wave.intended())
+    out.deliveredFlags.push_back(wave.deliveredTo(v) ? 1 : 0);
+  return out;
+}
+
+ProgramOutcome runInterleavedProgram(BroadcastScheme scheme,
+                                     SimScheduling scheduling) {
   SensorNetwork net(paperNetwork(140, 0x1F1B0));
   const NodeId source = net.clusterNet().root();
-  ProtocolOptions opts = shardedOptions(net, threads);
-
-  InFlightBroadcast wave(net.clusterNet(), scheme, source, 0xAB, opts);
+  InFlightBroadcast wave(net.clusterNet(), scheme, source, 0xAB,
+                         withScheduling(scheduling));
 
   const auto resync = [&](std::initializer_list<NodeId> disturbed) {
     for (NodeId v : disturbed) wave.noteDisplaced(v);
-    wave.refreshPositions(net.index());
     wave.onTopologyChanged();
   };
 
@@ -191,27 +195,63 @@ ProgramOutcome runInterleavedProgram(BroadcastScheme scheme, int threads) {
     resync({drifter});
   }
   wave.runToCompletion();
-
-  ProgramOutcome out;
-  out.report = wave.finish();
-  out.deliveredFlags.reserve(wave.intended().size());
-  for (NodeId v : wave.intended())
-    out.deliveredFlags.push_back(wave.deliveredTo(v) ? 1 : 0);
-  return out;
+  return finishProgram(wave);
 }
 
-TEST(InFlightBroadcastTest, InterleavedChurnBitIdenticalAcrossThreadCounts) {
+// Three segments; between them a seeded drift of a few random nodes.
+ProgramOutcome runInterleavedMoves(BroadcastScheme scheme,
+                                   SimScheduling scheduling,
+                                   std::uint64_t seed) {
+  SensorNetwork net(paperNetwork(130, seed));
+  const NodeId source = net.clusterNet().root();
+  InFlightBroadcast wave(net.clusterNet(), scheme, source, 0x5E6,
+                         withScheduling(scheduling));
+
+  Rng rng(seed ^ 0xD1FF);
+  for (int segment = 0; segment < 3; ++segment) {
+    wave.advanceTo(wave.cursor() + 4);
+    if (wave.finished()) break;
+    for (int k = 0; k < 4; ++k) {
+      const NodeId v = net.randomNode(rng);
+      if (v == source) continue;
+      const Point2D p = net.position(v);
+      net.moveSensor(v, {p.x + rng.uniformReal(-60.0, 60.0),
+                         p.y + rng.uniformReal(-60.0, 60.0)});
+      wave.noteDisplaced(v);
+    }
+    wave.onTopologyChanged();
+  }
+  wave.runToCompletion();
+  return finishProgram(wave);
+}
+
+void expectSameOutcome(const ProgramOutcome& a, const ProgramOutcome& b) {
+  expectSameReport(a.report, b.report);
+  EXPECT_EQ(a.deliveredFlags, b.deliveredFlags);
+}
+
+TEST(InFlightBroadcastTest, InterleavedChurnBitIdenticalAcrossSchedulers) {
   for (const BroadcastScheme scheme :
        {BroadcastScheme::kCff, BroadcastScheme::kImprovedCff}) {
-    const ProgramOutcome ref = runInterleavedProgram(scheme, /*threads=*/0);
+    SCOPED_TRACE(toString(scheme));
+    const ProgramOutcome ref =
+        runInterleavedProgram(scheme, SimScheduling::kFullScan);
     EXPECT_EQ(ref.report.intended,
               ref.report.departed + ref.report.displaced + ref.report.settled);
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE(std::string(toString(scheme)) + " threads=" +
-                   std::to_string(threads));
-      const ProgramOutcome got = runInterleavedProgram(scheme, threads);
-      expectSameReport(got.report, ref.report);
-      EXPECT_EQ(got.deliveredFlags, ref.deliveredFlags);
+    expectSameOutcome(
+        runInterleavedProgram(scheme, SimScheduling::kActiveSet), ref);
+  }
+}
+
+TEST(InFlightBroadcastTest, InterleavedMovesBitIdenticalAcrossSchedulers) {
+  for (const BroadcastScheme scheme :
+       {BroadcastScheme::kCff, BroadcastScheme::kImprovedCff}) {
+    for (const std::uint64_t seed : {0xD1FF10ull, 0xD1FF11ull}) {
+      SCOPED_TRACE(std::string(toString(scheme)) + " seed=" +
+                   std::to_string(seed));
+      expectSameOutcome(
+          runInterleavedMoves(scheme, SimScheduling::kActiveSet, seed),
+          runInterleavedMoves(scheme, SimScheduling::kFullScan, seed));
     }
   }
 }

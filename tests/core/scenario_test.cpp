@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/scenario.hpp"
 
@@ -357,6 +358,22 @@ TEST(ScenarioRunnerTest, ChurnTicksEndCleanAndRepaired) {
   EXPECT_TRUE(outcome.valid) << outcome.firstViolation;
   EXPECT_FALSE(net.hasStaleStructure());
   EXPECT_NE(outcome.log[0].find("churn 8 ticks"), std::string::npos);
+}
+
+TEST(ScenarioRunnerTest, ChurnSkipsVictimsThatAlreadyCrashed) {
+  // On this network a churn tick draws a node that crashed earlier in
+  // the same tick: at 3 events per tick the draw would crash it again,
+  // at 4 it would make it leave. Both draws must be skipped.
+  for (const char* script : {"churn 3 8\n", "churn 4 4\n"}) {
+    SCOPED_TRACE(script);
+    auto net = makeNet(40, 5);
+    const auto outcome = runScenario(
+        net, parseScenario(std::string(script) + "validate\n"
+                                                 "broadcast random icff\n"));
+    EXPECT_TRUE(outcome.valid) << outcome.firstViolation;
+    EXPECT_FALSE(net.hasStaleStructure());
+    EXPECT_EQ(outcome.broadcasts, 1u);
+  }
 }
 
 TEST(ScenarioRunnerTest, ZeroRateChurnIsANoOp) {

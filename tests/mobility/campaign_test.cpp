@@ -2,9 +2,9 @@
 //
 // The acceptance-shaped checks at test scale (the full 1e5-round
 // campaign runs in tbl_mobility and the churn-smoke CI job): the digest
-// is bit-identical across scheduling modes and thread counts, every
-// repair leaves the structure validator-clean, and union coverage of
-// settled receivers clears the 99% gate.
+// is bit-identical across scheduling modes, every repair leaves the
+// structure validator-clean, and union coverage of settled receivers
+// clears the 99% gate.
 #include <gtest/gtest.h>
 
 #include "core/sensor_network.hpp"
@@ -13,7 +13,9 @@
 namespace dsn::mobility {
 namespace {
 
-CampaignResult runCampaign(int threads, Round rounds = 3000) {
+CampaignResult runCampaign(Round rounds = 3000,
+                           SimScheduling scheduling =
+                               SimScheduling::kActiveSet) {
   NetworkConfig nc;
   nc.field = Field::squareUnits(4);
   nc.nodeCount = 80;
@@ -39,13 +41,12 @@ CampaignResult runCampaign(int threads, Round rounds = 3000) {
   cfg.rounds = rounds;
   cfg.wavePeriod = 150;
   cfg.churnPeriod = 8;
-  cfg.protocol.threads = threads;
-  if (threads > 0) cfg.protocol.shardSerialThreshold = 0;
+  cfg.protocol.scheduling = scheduling;
   return runMobilityCampaign(net, engine, cfg);
 }
 
 TEST(MobilityCampaignTest, SustainsCoverageAndValidationUnderChurn) {
-  const CampaignResult res = runCampaign(/*threads=*/0);
+  const CampaignResult res = runCampaign();
   EXPECT_GT(res.waves, 10u);
   EXPECT_EQ(res.roundsRun, 3000);
   EXPECT_GT(res.churn.moves, 0u);
@@ -61,25 +62,22 @@ TEST(MobilityCampaignTest, SustainsCoverageAndValidationUnderChurn) {
   EXPECT_EQ(res.intended, res.departed + res.displaced + res.settled);
 }
 
-TEST(MobilityCampaignTest, DigestBitIdenticalAcrossThreadCounts) {
-  const CampaignResult ref = runCampaign(/*threads=*/0, /*rounds=*/1500);
-  for (const int threads : {2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const CampaignResult got = runCampaign(threads, /*rounds=*/1500);
-    EXPECT_EQ(got.digest, ref.digest);
-    EXPECT_EQ(got.waves, ref.waves);
-    EXPECT_EQ(got.intended, ref.intended);
-    EXPECT_EQ(got.delivered, ref.delivered);
-    EXPECT_EQ(got.settledCovered, ref.settledCovered);
-    EXPECT_EQ(got.repairWavesRun, ref.repairWavesRun);
-    EXPECT_EQ(got.churn.moves, ref.churn.moves);
-    EXPECT_EQ(got.churn.rebuilds, ref.churn.rebuilds);
-  }
+TEST(MobilityCampaignTest, DigestBitIdenticalAcrossSchedulers) {
+  const CampaignResult ref = runCampaign(1500, SimScheduling::kFullScan);
+  const CampaignResult got = runCampaign(1500, SimScheduling::kActiveSet);
+  EXPECT_EQ(got.digest, ref.digest);
+  EXPECT_EQ(got.waves, ref.waves);
+  EXPECT_EQ(got.intended, ref.intended);
+  EXPECT_EQ(got.delivered, ref.delivered);
+  EXPECT_EQ(got.settledCovered, ref.settledCovered);
+  EXPECT_EQ(got.repairWavesRun, ref.repairWavesRun);
+  EXPECT_EQ(got.churn.moves, ref.churn.moves);
+  EXPECT_EQ(got.churn.rebuilds, ref.churn.rebuilds);
 }
 
 TEST(MobilityCampaignTest, DeterministicAcrossProcessRepeats) {
-  const CampaignResult a = runCampaign(/*threads=*/0, /*rounds=*/1000);
-  const CampaignResult b = runCampaign(/*threads=*/0, /*rounds=*/1000);
+  const CampaignResult a = runCampaign(1000);
+  const CampaignResult b = runCampaign(1000);
   EXPECT_EQ(a.digest, b.digest);
 }
 

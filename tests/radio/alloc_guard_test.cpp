@@ -6,12 +6,12 @@
 // call after warm-up allocates. A second armed pass reruns 1000 rounds
 // with the flight recorder enabled on a deliberately undersized ring —
 // record() must stay allocation-free even while wrapping (DESIGN.md §13).
-// A third pass covers the sharded round engine (DESIGN.md §14): its
-// per-tile buffers reach a high-water capacity and are then reused, so a
-// 4x longer run must cost exactly as many allocations as a short one —
-// the per-round marginal cost is zero. A plain executable (not gtest) so
-// the override sees only our own code paths.
-#include <atomic>
+// A third pass runs the whole active-set engine over a structure-of-
+// arrays swarm (DESIGN.md §14): its wake heap, action table and resolve
+// outcome reach a high-water capacity and are then reused, so a 4x
+// longer run must cost exactly as many allocations as a short one — the
+// per-round marginal cost is zero. A plain executable (not gtest) so the
+// override sees only our own code paths.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -27,8 +27,7 @@
 
 namespace {
 
-// The sharded pass runs worker threads, so the counter is atomic.
-std::atomic<std::size_t> g_allocs{0};
+std::size_t g_allocs = 0;
 bool g_armed = false;
 
 }  // namespace
@@ -42,7 +41,7 @@ bool g_armed = false;
 #endif
 
 void* operator new(std::size_t size) {
-  if (g_armed) g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (g_armed) ++g_allocs;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
@@ -57,7 +56,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace dsn {
 namespace {
 
-/// Minimal SoA protocol for the sharded pass: every node beacons once
+/// Minimal SoA protocol for the engine pass: every node beacons once
 /// per 16-round period (staggered by id) and listens otherwise, so each
 /// round carries the same mix of transmissions, deliveries, and
 /// collisions forever. Never done — the run always exhausts maxRounds,
@@ -76,8 +75,6 @@ class BeaconSwarm final : public SwarmProtocol {
     return Action::listen(v % 2 == 0 ? kAllChannels
                                      : static_cast<Channel>(v % channels_));
   }
-  // Distinct nodes only, so the plain per-node counters are race-free
-  // even when tiles run on separate workers.
   void onReceive(NodeId v, const Message&, Round, Channel) override {
     ++heard_[v];
   }
@@ -159,7 +156,7 @@ int run() {
     std::fprintf(stderr,
                  "FAIL: %zu heap allocations across 1000 steady-state "
                  "rounds (expected 0)\n",
-                 g_allocs.load(std::memory_order_relaxed));
+                 g_allocs);
     return 1;
   }
 
@@ -216,7 +213,7 @@ int run() {
     std::fprintf(stderr,
                  "FAIL: %zu heap allocations across 1000 recorded rounds "
                  "(expected 0)\n",
-                 g_allocs.load(std::memory_order_relaxed));
+                 g_allocs);
     return 1;
   }
   if (recorder.droppedEvents() == 0) {
@@ -226,47 +223,46 @@ int run() {
                  recorder.storedEvents());
     return 1;
   }
-  // Sharded engine: per-tile buffers reach a high-water capacity during
-  // the first beacon period and are then reused, so extending a run by
-  // 300 rounds must not add a single allocation. Two fresh engines with
-  // identical setup, differing only in maxRounds, are compared on total
-  // allocation count — any per-round marginal cost shows up as growth.
-  auto shardedRun = [&](Round maxRounds, std::size_t* allocsOut) {
+  // Active-set engine over the swarm: its buffers reach a high-water
+  // capacity during the first beacon period and are then reused, so
+  // extending a run by 300 rounds must not add a single allocation. Two
+  // fresh simulators with identical setup, differing only in maxRounds,
+  // are compared on total allocation count — any per-round marginal cost
+  // shows up as growth.
+  auto swarmRun = [&](SimScheduling scheduling, Round maxRounds) {
     SimConfig cfg;
     cfg.channelCount = kChannels;
     cfg.maxRounds = maxRounds;
-    cfg.scheduling = SimScheduling::kSharded;
-    cfg.threads = 2;
-    cfg.shardSerialThreshold = 0;  // force the parallel tile path
-    const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+    cfg.scheduling = scheduling;
+    RadioSimulator sim(g, cfg);
+    std::vector<NodeId> members(g.size());
+    for (NodeId v = 0; v < g.size(); ++v) members[v] = v;
+    sim.setSwarm(std::make_unique<BeaconSwarm>(g.size(), kChannels),
+                 members);
+    return sim.run();
+  };
+  auto countedRun = [&](Round maxRounds, std::size_t* allocsOut) {
+    const std::size_t before = g_allocs;
     g_armed = true;
-    SimResult res;
-    {
-      RadioSimulator sim(g, cfg);
-      std::vector<NodeId> members(g.size());
-      for (NodeId v = 0; v < g.size(); ++v) members[v] = v;
-      sim.setSwarm(std::make_unique<BeaconSwarm>(g.size(), kChannels),
-                   members);
-      res = sim.run();
-    }
+    const SimResult res = swarmRun(SimScheduling::kActiveSet, maxRounds);
     g_armed = false;
-    *allocsOut = g_allocs.load(std::memory_order_relaxed) - before;
+    *allocsOut = g_allocs - before;
     return res;
   };
 
   std::size_t allocsShort = 0;
   std::size_t allocsLong = 0;
-  const SimResult shortRun = shardedRun(100, &allocsShort);
-  const SimResult longRun = shardedRun(400, &allocsLong);
+  const SimResult shortRun = countedRun(100, &allocsShort);
+  const SimResult longRun = countedRun(400, &allocsLong);
 
   if (shortRun.totalDeliveries == 0 || shortRun.totalCollisions == 0) {
-    std::fprintf(stderr, "FAIL: sharded scenario exercises no deliveries "
+    std::fprintf(stderr, "FAIL: swarm scenario exercises no deliveries "
                          "or collisions — not a meaningful guard\n");
     return 1;
   }
   if (longRun.rounds != 400 || shortRun.rounds != 100 ||
       longRun.totalDeliveries <= shortRun.totalDeliveries) {
-    std::fprintf(stderr, "FAIL: sharded runs did not exhaust their round "
+    std::fprintf(stderr, "FAIL: swarm runs did not exhaust their round "
                          "budgets (%llu / %llu rounds)\n",
                  static_cast<unsigned long long>(shortRun.rounds),
                  static_cast<unsigned long long>(longRun.rounds));
@@ -274,37 +270,28 @@ int run() {
   }
   if (allocsLong > allocsShort) {
     std::fprintf(stderr,
-                 "FAIL: sharded engine allocates per round in steady "
+                 "FAIL: active-set engine allocates per round in steady "
                  "state: 100 rounds cost %zu allocations, 400 rounds "
                  "cost %zu (expected no growth)\n",
                  allocsShort, allocsLong);
     return 1;
   }
 
-  // And the numbers the sharded engine produced are the real ones.
-  SimConfig refCfg;
-  refCfg.channelCount = kChannels;
-  refCfg.maxRounds = 400;
-  refCfg.scheduling = SimScheduling::kActiveSet;
-  RadioSimulator refSim(g, refCfg);
-  std::vector<NodeId> everyone(g.size());
-  for (NodeId v = 0; v < g.size(); ++v) everyone[v] = v;
-  refSim.setSwarm(std::make_unique<BeaconSwarm>(g.size(), kChannels),
-                  everyone);
-  const SimResult refRun = refSim.run();
+  // And the numbers the measured engine produced are the real ones.
+  const SimResult refRun = swarmRun(SimScheduling::kFullScan, 400);
   if (refRun.totalTransmissions != longRun.totalTransmissions ||
       refRun.totalDeliveries != longRun.totalDeliveries ||
       refRun.totalCollisions != longRun.totalCollisions ||
       refRun.rounds != longRun.rounds) {
-    std::fprintf(stderr, "FAIL: sharded totals diverge from the "
-                         "active-set reference\n");
+    std::fprintf(stderr, "FAIL: active-set swarm totals diverge from the "
+                         "full-scan reference\n");
     return 1;
   }
 
   std::printf("ok: 1000 steady-state rounds, 0 allocations, %zu "
               "deliveries + %zu collision sites per round; recorded "
               "rerun stored %zu events (%llu dropped) with 0 "
-              "allocations; sharded 100->400 rounds added 0 of %zu "
+              "allocations; swarm engine 100->400 rounds added 0 of %zu "
               "setup allocations\n",
               warm.deliveries.size(), warm.collisionSites.size(),
               recorder.storedEvents(),

@@ -1,16 +1,11 @@
 // Differential oracle for the arena rivals (gossip, adaptive gossip,
 // counter- and distance-based suppression, RLNC): every scheme must
-// produce bit-identical runs under the full-scan reference, the
-// active-set scheduler, and the sharded round engine at every worker
-// count, clean and under fault injection. The rivals are randomized,
-// but their RNG draws hang off node state transitions, never off the
-// scheduler — so scheduler identity is exact, not statistical.
-//
-// The sharded cases reuse the ShardedDifferentialTest suite name so
-// CI's TSan job (which filters on it) races the new protocols too.
+// produce bit-identical runs under the full-scan reference and the
+// active-set scheduler, clean and under fault injection. The rivals are
+// randomized, but their RNG draws hang off node state transitions,
+// never off the scheduler — so scheduler identity is exact, not
+// statistical.
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "broadcast/runner.hpp"
 #include "core/sensor_network.hpp"
@@ -23,16 +18,8 @@ constexpr BroadcastScheme kRivals[] = {
     BroadcastScheme::kCounter, BroadcastScheme::kDistance,
     BroadcastScheme::kRlnc};
 
-constexpr int kThreadCounts[] = {1, 2, 8};
-
 ProtocolOptions withScheduling(ProtocolOptions opts, SimScheduling s) {
   opts.scheduling = s;
-  return opts;
-}
-
-ProtocolOptions withThreads(ProtocolOptions opts, int threads) {
-  opts.threads = threads;
-  opts.shardSerialThreshold = 0;  // force the parallel path
   return opts;
 }
 
@@ -129,66 +116,6 @@ TEST(ArenaDifferentialTest, RivalsUnderBurstLossAndJamZones) {
     const auto full = net.broadcast(
         scheme, source, 13, withScheduling(opts, SimScheduling::kFullScan));
     expectSameRun(active, full);
-  }
-}
-
-// ---- sharded engine, every worker count ----
-
-TEST(ShardedDifferentialTest, ArenaRivalsCleanAllThreadCounts) {
-  const SensorNetwork net(paperNetwork(140, 0xA4E7A04));
-  ProtocolOptions opts;
-  opts.traceCapacity = 1 << 16;
-  const NodeId source = net.clusterNet().root();
-  for (const BroadcastScheme scheme : kRivals) {
-    const auto reference = net.broadcast(scheme, source, 7, opts);
-    for (const int threads : kThreadCounts) {
-      SCOPED_TRACE(std::string(toString(scheme)) + " threads=" +
-                   std::to_string(threads));
-      const auto sharded =
-          net.broadcast(scheme, source, 7, withThreads(opts, threads));
-      expectSameRun(sharded, reference);
-    }
-  }
-}
-
-TEST(ShardedDifferentialTest, ArenaRivalsUnderDropsAndDeaths) {
-  const SensorNetwork net(paperNetwork(150, 0xA4E7A05));
-  ProtocolOptions opts;
-  opts.dropProbability = 0.15;
-  opts.deaths = {{5, 2}, {17, 0}, {33, 6}, {60, 10}};
-  opts.traceCapacity = 1 << 16;
-  const NodeId source = net.clusterNet().root();
-  for (const BroadcastScheme scheme : kRivals) {
-    const auto reference = net.broadcast(scheme, source, 11, opts);
-    for (const int threads : kThreadCounts) {
-      SCOPED_TRACE(std::string(toString(scheme)) + " threads=" +
-                   std::to_string(threads));
-      const auto sharded =
-          net.broadcast(scheme, source, 11, withThreads(opts, threads));
-      expectSameRun(sharded, reference);
-    }
-  }
-}
-
-TEST(ShardedDifferentialTest, ArenaRivalsUnderBurstAndJam) {
-  const SensorNetwork net(paperNetwork(130, 0xA4E7A06));
-  ProtocolOptions opts;
-  opts.burst.pEnterBurst = 0.1;
-  opts.burst.pExitBurst = 0.3;
-  opts.burst.dropBurst = 0.9;
-  opts.jamZones.push_back(
-      {Point2D{300.0, 300.0}, 180.0, /*from=*/2, /*until=*/25});
-  opts.traceCapacity = 1 << 16;
-  const NodeId source = net.clusterNet().root();
-  for (const BroadcastScheme scheme : kRivals) {
-    const auto reference = net.broadcast(scheme, source, 13, opts);
-    for (const int threads : kThreadCounts) {
-      SCOPED_TRACE(std::string(toString(scheme)) + " threads=" +
-                   std::to_string(threads));
-      const auto sharded =
-          net.broadcast(scheme, source, 13, withThreads(opts, threads));
-      expectSameRun(sharded, reference);
-    }
   }
 }
 

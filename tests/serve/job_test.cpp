@@ -28,7 +28,6 @@ TEST(ServeJob, ParsesMinimalLineWithDefaults) {
   EXPECT_DOUBLE_EQ(job.drop, 0.0);
   EXPECT_FALSE(job.protocol.has_value());
   EXPECT_EQ(job.traceCapacity, 0u);
-  EXPECT_EQ(job.threads, 0);
   EXPECT_FALSE(job.autoRepair);
   EXPECT_EQ(job.events.size(), 1u);
   EXPECT_FALSE(job.mutates);
@@ -36,6 +35,7 @@ TEST(ServeJob, ParsesMinimalLineWithDefaults) {
 }
 
 TEST(ServeJob, ParsesEveryKnob) {
+  // "threads" is a retired key; like any unknown key it is ignored.
   const ServeJob job = parseJobLine(
       R"({"schema":"dsnet-job-v1","id":9,"nodes":80,"seed":2007,)"
       R"("field_units":6,"range":40.5,"deploy":"grid","channels":3,)"
@@ -54,7 +54,6 @@ TEST(ServeJob, ParsesEveryKnob) {
   ASSERT_TRUE(job.protocol.has_value());
   EXPECT_EQ(*job.protocol, BroadcastScheme::kGossip);
   EXPECT_EQ(job.traceCapacity, 64u);
-  EXPECT_EQ(job.threads, 2);
   EXPECT_TRUE(job.autoRepair);
   EXPECT_EQ(job.events.size(), 2u);
 }

@@ -83,26 +83,6 @@ TEST(DeterminismTest, PinnedCampaignDigest) {
   EXPECT_EQ(report.simRuns, 617u);
 }
 
-TEST(DeterminismTest, PinnedCampaignDigestUnderShardedScheduler) {
-  // The same pinned campaign, with every broadcast leg routed through
-  // the sharded round engine (4 workers, serial fallback disabled, so
-  // the parallel tile path really runs). The digest must equal the
-  // serial engines' pin above: sharding is bit-exact by construction
-  // (DESIGN.md §14), and this is the whole-campaign proof.
-  FuzzConfig config;
-  config.episodes = 30;
-  config.seed = 20260806;
-  config.jobs = 2;
-  config.shrinkFailures = false;
-  config.episode.threads = 4;
-  config.episode.shardSerialThreshold = 0;
-  const FuzzReport report = runFuzz(config);
-  EXPECT_EQ(report.digest, 0xC4F1A8C3DEFBE36EULL);
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.opsExecuted, 544u);
-  EXPECT_EQ(report.simRuns, 617u);
-}
-
 TEST(DeterminismTest, EpisodeDigestsActuallyDiffer) {
   // A digest that never changes would make every determinism check above
   // vacuous; distinct episodes must hash to distinct values.

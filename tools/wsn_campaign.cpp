@@ -9,18 +9,16 @@
 //                [--rounds R] [--wave-period W] [--churn-period C]
 //                [--churn RATE] [--policy incremental|rebuild|adaptive]
 //                [--scheme cff|icff] [--speed V] [--walk-period P]
-//                [--jobs N | --threads N] [--min-coverage X] [--quiet]
+//                [--min-coverage X] [--quiet]
 //
 // --churn RATE is the expected structural events per churn tick, split
 // 40% crashes / 50% joins / 10% voluntary leaves (joins slightly above
 // losses so the deployment does not drain). --policy selects the repair
 // strategy; adaptive is the Gavalas-style debt-threshold re-cluster.
 //
-// --jobs/--threads N routes every wave through the spatially sharded
-// round engine with N workers. The report — including the campaign
-// digest — is bit-identical at every worker count and carries no
-// wall-clock, so two runs can be byte-compared (the churn-smoke CI job
-// does exactly that).
+// The report — including the campaign digest — is a pure function of
+// the arguments and carries no wall-clock, so two runs can be
+// byte-compared.
 //
 // Exit status: 0 when the structure stayed validator-clean after every
 // repair AND settled coverage reached --min-coverage (default 0.99);
@@ -49,7 +47,6 @@ struct CliOptions {
   dsn::BroadcastScheme scheme = dsn::BroadcastScheme::kImprovedCff;
   double speed = 20.0;
   dsn::Round walkPeriod = 32;
-  int threads = 0;
   double minCoverage = 0.99;
   bool quiet = false;
 };
@@ -61,8 +58,8 @@ void usage(std::ostream& os) {
         "                    [--churn RATE]\n"
         "                    [--policy incremental|rebuild|adaptive]\n"
         "                    [--scheme cff|icff] [--speed V]\n"
-        "                    [--walk-period P] [--jobs N | --threads N]\n"
-        "                    [--min-coverage X] [--quiet]\n";
+        "                    [--walk-period P] [--min-coverage X]\n"
+        "                    [--quiet]\n";
 }
 
 bool parseArgs(int argc, char** argv, CliOptions& opt) {
@@ -130,10 +127,6 @@ bool parseArgs(int argc, char** argv, CliOptions& opt) {
       if (!(v = next())) return false;
       opt.walkPeriod = std::strtoll(v, nullptr, 10);
       if (opt.walkPeriod <= 0) return false;
-    } else if (arg == "--jobs" || arg == "-j" || arg == "--threads") {
-      if (!(v = next())) return false;
-      opt.threads = std::atoi(v);
-      if (opt.threads < 0) return false;
     } else if (arg == "--min-coverage") {
       if (!(v = next())) return false;
       opt.minCoverage = std::atof(v);
@@ -192,8 +185,6 @@ int main(int argc, char** argv) {
   cfg.churnPeriod = opt.churnPeriod;
   cfg.scheme = opt.scheme;
   cfg.sourceSeed = opt.seed ^ 0x5EED;
-  cfg.protocol.threads = opt.threads;
-  if (opt.threads > 0) cfg.protocol.shardSerialThreshold = 0;
 
   CampaignResult res;
   try {
@@ -204,7 +195,7 @@ int main(int argc, char** argv) {
   }
 
   // The report is deterministic and wall-clock-free on purpose: two runs
-  // at different --jobs counts must be byte-identical.
+  // with the same arguments must be byte-identical.
   if (!opt.quiet) {
     std::cout << "campaign: nodes=" << opt.nodes << " seed=" << opt.seed
               << " field=" << opt.fieldUnits << " rounds=" << res.roundsRun

@@ -4,7 +4,7 @@
 // or stdin). With no scenario a small demo workload runs.
 //
 //   wsn_sim [--nodes N] [--seed S] [--field UNITS] [--range METERS]
-//           [--drop P] [--channels K] [--threads N] [--deploy KIND]
+//           [--drop P] [--channels K] [--deploy KIND]
 //           [--protocol SCHEME] [--scenario FILE | -]
 //           [--trials T] [--jobs N] [--auto-repair]
 //           [--metrics-json FILE] [--trace-out FILE] [--trace-cap N]
@@ -22,10 +22,6 @@
 // `rbroadcast` events keep their scripted slotted scheme and `arena`
 // events still race everyone (DESIGN.md §16).
 //
-// --threads N routes every protocol run through the spatially sharded
-// round engine with N workers (DESIGN.md §14). Every observable output —
-// metrics JSON, JSONL trace, .dsntrace stream — is bit-identical at any
-// thread count, so the run document deliberately omits the knob.
 // --deploy picks the position generator (attach|uniform|grid|line|star;
 // default attach). Million-node runs want grid: incremental-attach
 // densifies quadratically, the grid deployment is linear.
@@ -88,7 +84,6 @@ struct CliOptions {
   double range = 50.0;
   double drop = 0.0;
   dsn::Channel channels = 1;
-  int threads = 0;  ///< > 0: sharded round engine with N workers
   dsn::DeploymentKind deploy = dsn::DeploymentKind::kIncrementalAttach;
   std::optional<dsn::BroadcastScheme> protocol;  ///< broadcast override
   std::string scenarioPath;
@@ -110,8 +105,7 @@ struct CliOptions {
 void usage(std::ostream& os) {
   os << "usage: wsn_sim [--nodes N] [--seed S] [--field UNITS]\n"
         "               [--range METERS] [--drop P] [--channels K]\n"
-        "               [--threads N] [--deploy KIND]\n"
-        "               [--protocol SCHEME]\n"
+        "               [--deploy KIND] [--protocol SCHEME]\n"
         "               [--scenario FILE|-] [--dot FILE]\n"
         "               [--trials T] [--jobs N] [--auto-repair]\n"
         "               [--metrics-json FILE] [--trace-out FILE]\n"
@@ -151,11 +145,6 @@ bool parseArgs(int argc, char** argv, CliOptions& opt) {
       const char* v = next();
       if (!v) return false;
       opt.channels = static_cast<dsn::Channel>(std::atoi(v));
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      opt.threads = std::atoi(v);
-      if (opt.threads < 0) return false;
     } else if (arg == "--deploy") {
       const char* v = next();
       if (!v) return false;
@@ -307,7 +296,6 @@ dsn::ScenarioOptions scenarioOptionsFor(const CliOptions& opt,
   sopt.seed = seed ^ 0xCAFE;
   sopt.protocol.dropProbability = opt.drop;
   sopt.protocol.channels = opt.channels;
-  sopt.protocol.threads = opt.threads;
   sopt.forceScheme = opt.protocol;
   if (!opt.traceOutPath.empty())
     sopt.protocol.traceCapacity = opt.traceCap;
