@@ -1,15 +1,11 @@
 #include "broadcast/cff_flooding.hpp"
 
-#include "broadcast/cff_swarm.hpp"
-
 #include <algorithm>
 #include <memory>
+#include <utility>
 
-#include "broadcast/runner_detail.hpp"
+#include "broadcast/cff_swarm.hpp"
 #include "cluster/soa.hpp"
-#include "graph/algorithms.hpp"
-#include "radio/simulator.hpp"
-#include "util/error.hpp"
 
 namespace dsn {
 
@@ -130,73 +126,51 @@ Round CffNodeProtocol::nextWake(Round now) const {
   return kNoWake;  // done: sleeps forever
 }
 
-BroadcastRun runCffBroadcast(const ClusterNet& net, NodeId source,
-                             std::uint64_t payload,
-                             const ProtocolOptions& options) {
-  DSN_REQUIRE(net.contains(source), "broadcast source must be in the net");
-  const Graph& g = net.graph();
-
-  // Source -> root tree path.
-  std::vector<NodeId> path;
-  for (NodeId v = source; v != kInvalidNode; v = net.parent(v))
-    path.push_back(v);
-  const Round floodStart = static_cast<Round>(path.size()) - 1;
-
+SlottedWave admitCffWave(const ClusterNet& net, NodeId source,
+                         std::uint64_t payload, Channel channels) {
+  const detail::SourcePath path = detail::sourcePath(net, source);
+  const Round floodStart = path.hops();
   const TimeSlot window = net.rootMaxUSlot();
-  const TdmMap tdm(window == 0 ? 1 : window, options.channels);
-  const Round schedule =
+  const TdmMap tdm(window == 0 ? 1 : window, channels);
+
+  SlottedWave wave;
+  wave.schedule =
       floodStart + static_cast<Round>(net.height() + 1) * tdm.windowLength();
 
-  SimConfig cfg;
-  cfg.channelCount = options.channels;
-  cfg.maxRounds = options.maxRounds > 0 ? options.maxRounds : schedule + 4;
-  cfg.traceCapacity = options.traceCapacity;
-  detail::applyScheduling(cfg, options);
-
-  RadioSimulator sim(g, cfg);
-  detail::applyFailures(sim, options);
-
-  // One structure-of-arrays swarm drives every member (DESIGN.md §14);
-  // the per-object CffNodeProtocol remains as the differential oracle.
   CffSwarmConfig sc;
   sc.window = window;
-  sc.channels = options.channels;
+  sc.channels = channels;
   sc.floodStart = floodStart;
   sc.payload = payload;
+  const Graph& g = net.graph();
   auto swarm = std::make_unique<CffSwarm>(sc, g.size());
-  const CffSwarm* view = swarm.get();
 
   // Flat schedule columns: one pass over the knowledge table instead of a
   // per-field accessor chase for every member (matters at n >= 10^5).
   const ClusterScheduleView sched = ClusterScheduleView::build(net);
-
-  // Path membership as a flat lookup instead of an O(|path|) scan per node.
-  std::vector<int> pathIndexOf(g.size(), -1);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i)
-    pathIndexOf[path[i]] = static_cast<int>(i);
-
-  std::vector<NodeId> intended;
-  intended.reserve(sched.members().size());
+  wave.members.reserve(sched.members().size());
   for (NodeId v : sched.members()) {
     // A stale structure (crashes not yet repaired) may reference dead
     // nodes; they neither act nor count as intended receivers.
     if (!g.isAlive(v)) continue;
-    intended.push_back(v);
-    const int pathIndex = pathIndexOf[v];
-    const NodeId pathNext =
-        pathIndex >= 0 ? path[static_cast<std::size_t>(pathIndex) + 1]
-                       : kInvalidNode;
+    wave.members.push_back(v);
+    const int pathIndex = path.indexOf[v];
     swarm->addMember(v, sched.depth(v),
                      sched.isBackbone(v) ? sched.uSlot(v) : kNoSlot, pathIndex,
-                     pathNext, v == source);
+                     path.nextAfter(pathIndex), v == source);
   }
-  sim.setSwarm(std::move(swarm), intended);
+  wave.intended = wave.members;
+  wave.swarm = std::move(swarm);
+  return wave;
+}
 
-  BroadcastRun run;
-  run.scheduleLength = schedule;
-  run.sim = sim.run();
-  detail::collectSwarmDeliveryStats(sim, intended, *view, run);
-  return run;
+BroadcastRun runCffBroadcast(const ClusterNet& net, NodeId source,
+                             std::uint64_t payload,
+                             const ProtocolOptions& options) {
+  // One structure-of-arrays swarm drives every member (DESIGN.md §14);
+  // the per-object CffNodeProtocol remains as the differential oracle.
+  return runSlottedWave(
+      net, admitCffWave(net, source, payload, options.channels), options);
 }
 
 }  // namespace dsn

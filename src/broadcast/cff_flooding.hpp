@@ -13,6 +13,7 @@
 #pragma once
 
 #include "broadcast/run_result.hpp"
+#include "broadcast/slotted_swarm.hpp"
 #include "broadcast/tdm.hpp"
 #include "cluster/cnet.hpp"
 #include "radio/protocol.hpp"
@@ -65,6 +66,11 @@ class CffNodeProtocol : public NodeProtocol, public BroadcastEndpoint {
   Round listenWindowEnd() const;
   Round floodTransmitRound() const;
 };
+
+/// Admits an Algorithm-1 wave of `payload` from `source` against `net`'s
+/// schedule as of now: one CffSwarm over every live member.
+SlottedWave admitCffWave(const ClusterNet& net, NodeId source,
+                         std::uint64_t payload, Channel channels);
 
 /// Runs an Algorithm-1 broadcast of `payload` from `source` over `net`.
 BroadcastRun runCffBroadcast(const ClusterNet& net, NodeId source,

@@ -2,37 +2,28 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-
 namespace dsn {
 
 CffSwarm::CffSwarm(const CffSwarmConfig& cfg, std::size_t nodeCount)
-    : cfg_(cfg),
+    : SlottedSwarm(nodeCount),
+      cfg_(cfg),
       tdm_(cfg.window == 0 ? 1 : cfg.window, cfg.channels),
-      flags_(nodeCount, 0),
       depth_(nodeCount, 0),
       slot_(nodeCount, kNoSlot),
       pathIndex_(nodeCount, -1),
-      pathNext_(nodeCount, kInvalidNode),
-      payload_(nodeCount, 0),
-      payloadRound_(nodeCount, -1) {}
+      pathNext_(nodeCount, kInvalidNode) {}
 
 void CffSwarm::addMember(NodeId v, Depth depth, TimeSlot slot,
                          int pathIndex, NodeId pathNext, bool isSource) {
-  DSN_REQUIRE(v < flags_.size(), "addMember: node id out of range");
+  addHolder(v, isSource, cfg_.payload);
   depth_[v] = depth;
   slot_[v] = slot;
   pathIndex_[v] = pathIndex;
   pathNext_[v] = pathNext;
-  payload_[v] = isSource ? cfg_.payload : 0;
-  payloadRound_[v] = isSource ? 0 : -1;
-  std::uint8_t f = 0;
-  if (isSource) f |= kHasPayload;
   // Mirrors the CffNodeProtocol constructor: off-path (or path-tail)
   // nodes have no relay duty; unslotted nodes have no flood duty.
-  if (pathIndex < 0 || pathNext == kInvalidNode) f |= kPathSent;
-  if (slot == kNoSlot) f |= kFloodSent;
-  flags_[v] = f;
+  if (pathIndex < 0 || pathNext == kInvalidNode) flags_[v] |= kPathSent;
+  if (slot == kNoSlot) flags_[v] |= kFloodSent;
 }
 
 Round CffSwarm::listenWindowStart(NodeId v) const {
@@ -101,15 +92,6 @@ Action CffSwarm::onRound(NodeId v, Round r) {
     f |= kFloodSent;  // transmit round passed (late payload)
   }
   return Action::sleep();
-}
-
-void CffSwarm::onReceive(NodeId v, const Message& m, Round r, Channel) {
-  if (m.kind != MsgKind::kData && m.kind != MsgKind::kControl) return;
-  if (!(flags_[v] & kHasPayload)) {
-    flags_[v] |= kHasPayload;
-    payloadRound_[v] = r;
-    payload_[v] = m.payload;
-  }
 }
 
 bool CffSwarm::isDone(NodeId v) const {

@@ -11,9 +11,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "broadcast/run_result.hpp"
+#include "broadcast/slotted_swarm.hpp"
 #include "broadcast/tdm.hpp"
-#include "radio/protocol.hpp"
 
 namespace dsn {
 
@@ -28,7 +27,7 @@ struct CffSwarmConfig {
 };
 
 /// The whole network's Algorithm-1 state, keyed by node id.
-class CffSwarm : public SwarmProtocol {
+class CffSwarm final : public SlottedSwarm {
  public:
   CffSwarm(const CffSwarmConfig& cfg, std::size_t nodeCount);
 
@@ -39,17 +38,10 @@ class CffSwarm : public SwarmProtocol {
                  NodeId pathNext, bool isSource);
 
   Action onRound(NodeId v, Round r) override;
-  void onReceive(NodeId v, const Message& m, Round r,
-                 Channel channel) override;
   bool isDone(NodeId v) const override;
   Round nextWake(NodeId v, Round now) const override;
 
-  // Delivery accounting (the swarm-side BroadcastEndpoint equivalent).
-  bool hasPayload(NodeId v) const { return (flags_[v] & kHasPayload) != 0; }
-  Round payloadRound(NodeId v) const { return payloadRound_[v]; }
-
  private:
-  static constexpr std::uint8_t kHasPayload = 1;
   static constexpr std::uint8_t kPathSent = 2;
   static constexpr std::uint8_t kFloodSent = 4;
   static constexpr std::uint8_t kMissed = 8;
@@ -60,14 +52,11 @@ class CffSwarm : public SwarmProtocol {
 
   CffSwarmConfig cfg_;
   TdmMap tdm_;
-  // Hot per-node state, indexed by node id.
-  std::vector<std::uint8_t> flags_;
+  // Hot per-node schedule state, indexed by node id.
   std::vector<Depth> depth_;
   std::vector<TimeSlot> slot_;
   std::vector<std::int32_t> pathIndex_;
   std::vector<NodeId> pathNext_;
-  std::vector<std::uint64_t> payload_;
-  std::vector<Round> payloadRound_;
 };
 
 }  // namespace dsn

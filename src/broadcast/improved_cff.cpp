@@ -2,179 +2,184 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
-#include "broadcast/runner_detail.hpp"
 #include "cluster/soa.hpp"
-#include "radio/simulator.hpp"
-#include "util/error.hpp"
 
 namespace dsn {
 
-IcffNodeProtocol::IcffNodeProtocol(const IcffNodeConfig& cfg)
-    : cfg_(cfg),
+IcffSwarm::IcffSwarm(const IcffSwarmConfig& cfg, std::size_t nodeCount)
+    : SlottedSwarm(nodeCount),
+      cfg_(cfg),
       bTdm_(cfg.bWindow == 0 ? 1 : cfg.bWindow, cfg.channels),
       lTdm_(cfg.lWindow == 0 ? 1 : cfg.lWindow, cfg.channels),
-      hasPayload_(cfg.isSource),
-      payloadRound_(cfg.isSource ? 0 : -1),
-      pathSent_(cfg.pathIndex < 0 || cfg.pathNext == kInvalidNode),
-      bSent_(!cfg.backbone || cfg.bSlot == kNoSlot || !cfg.relays),
-      lSent_(!cfg.backbone || cfg.lSlot == kNoSlot || !cfg.relays),
-      idle_(!cfg.wantsPayload && !cfg.relays && cfg.pathIndex < 0 &&
-            !cfg.isSource) {}
+      depth_(nodeCount, 0),
+      bSlot_(nodeCount, kNoSlot),
+      lSlot_(nodeCount, kNoSlot),
+      pathIndex_(nodeCount, -1),
+      pathNext_(nodeCount, kInvalidNode) {}
 
-Round IcffNodeProtocol::leafWindowStart() const {
+void IcffSwarm::addMember(NodeId v, Depth depth, bool backbone,
+                          TimeSlot bSlot, TimeSlot lSlot, int pathIndex,
+                          NodeId pathNext, bool isSource, bool relays,
+                          bool wantsPayload) {
+  addHolder(v, isSource, cfg_.payload);
+  depth_[v] = depth;
+  bSlot_[v] = bSlot;
+  lSlot_[v] = lSlot;
+  pathIndex_[v] = pathIndex;
+  pathNext_[v] = pathNext;
+  std::uint8_t& f = flags_[v];
+  if (backbone) f |= kBackbone;
+  // Off-path (or path-tail) nodes have no relay duty; pure members,
+  // unslotted and pruned backbone nodes have no window duties.
+  if (pathIndex < 0 || pathNext == kInvalidNode) f |= kPathSent;
+  if (!backbone || bSlot == kNoSlot || !relays) f |= kBSent;
+  if (!backbone || lSlot == kNoSlot || !relays) f |= kLSent;
+  if (!wantsPayload && !relays && pathIndex < 0 && !isSource) f |= kIdle;
+}
+
+Round IcffSwarm::leafWindowStart() const {
   return cfg_.backboneStart +
          static_cast<Round>(cfg_.backboneHeight + 1) * bTdm_.windowLength();
 }
 
-Round IcffNodeProtocol::bListenStart() const {
-  if (!cfg_.backbone) return leafWindowStart();
+Round IcffSwarm::bListenStart(NodeId v) const {
+  if (!(flags_[v] & kBackbone)) return leafWindowStart();
   return cfg_.backboneStart +
-         static_cast<Round>(cfg_.depth - 1) * bTdm_.windowLength();
+         static_cast<Round>(depth_[v] - 1) * bTdm_.windowLength();
 }
 
-Round IcffNodeProtocol::bListenEnd() const {
-  if (!cfg_.backbone)
+Round IcffSwarm::bListenEnd(NodeId v) const {
+  if (!(flags_[v] & kBackbone))
     return leafWindowStart() + lTdm_.windowLength();  // the leaf window
-  if (cfg_.depth == 0) return cfg_.backboneStart;     // root: path phase
+  if (depth_[v] == 0) return cfg_.backboneStart;      // root: path phase
   return cfg_.backboneStart +
-         static_cast<Round>(cfg_.depth) * bTdm_.windowLength();
+         static_cast<Round>(depth_[v]) * bTdm_.windowLength();
 }
 
-Round IcffNodeProtocol::bTransmitRound() const {
+Round IcffSwarm::bTransmitRound(NodeId v) const {
   return cfg_.backboneStart +
-         static_cast<Round>(cfg_.depth) * bTdm_.windowLength() +
-         bTdm_.roundOffset(cfg_.bSlot);
+         static_cast<Round>(depth_[v]) * bTdm_.windowLength() +
+         bTdm_.roundOffset(bSlot_[v]);
 }
 
-Round IcffNodeProtocol::lTransmitRound() const {
-  return leafWindowStart() + lTdm_.roundOffset(cfg_.lSlot);
+Round IcffSwarm::lTransmitRound(NodeId v) const {
+  return leafWindowStart() + lTdm_.roundOffset(lSlot_[v]);
 }
 
-Action IcffNodeProtocol::onRound(Round r) {
-  if (idle_ || missed_) return Action::sleep();
+Action IcffSwarm::onRound(NodeId v, Round r) {
+  std::uint8_t& f = flags_[v];
+  if (f & (kIdle | kMissed)) return Action::sleep();
 
-  if (!hasPayload_) {
+  if (!(f & kHasPayload)) {
     // Nodes that only relay (multicast: backbone on the relay tree that
     // is not itself a member) still need the payload to do their job;
     // pure members that don't want it are idle and never reach here.
     // Path relays wake exactly when their predecessor transmits.
-    if (cfg_.pathIndex > 0 && r == cfg_.pathIndex - 1)
+    if (pathIndex_[v] > 0 && r == pathIndex_[v] - 1)
       return Action::listen();
-    if (r >= bListenEnd()) {
-      missed_ = true;
+    if (r >= bListenEnd(v)) {
+      f |= kMissed;
       return Action::sleep();
     }
-    if (r >= bListenStart()) return Action::listen();
+    if (r >= bListenStart(v)) return Action::listen();
     return Action::sleep();
   }
 
-  if (!pathSent_) {
-    if (r == cfg_.pathIndex) {
-      pathSent_ = true;
+  if (!(f & kPathSent)) {
+    if (r == pathIndex_[v]) {
+      f |= kPathSent;
       Message m;
       m.kind = MsgKind::kControl;
-      m.sender = cfg_.self;
-      m.target = cfg_.pathNext;
+      m.sender = v;
+      m.target = pathNext_[v];
       m.group = cfg_.group;
-      m.payload = cfg_.payload;
+      m.payload = payload_[v];
       return Action::transmit(m, 0);
     }
-    if (r < cfg_.pathIndex) return Action::sleep();
-    pathSent_ = true;  // upstream break; duty lapsed
+    if (r < pathIndex_[v]) return Action::sleep();
+    f |= kPathSent;  // upstream break; duty lapsed
   }
 
-  if (!bSent_) {
-    const Round tx = bTransmitRound();
+  if (!(f & kBSent)) {
+    const Round tx = bTransmitRound(v);
     if (r == tx) {
-      bSent_ = true;
+      f |= kBSent;
       Message m;
       m.kind = MsgKind::kData;
-      m.sender = cfg_.self;
-      m.slot = cfg_.bSlot;
+      m.sender = v;
+      m.slot = bSlot_[v];
       m.windowSize = cfg_.bWindow;
-      m.depth = cfg_.depth;
+      m.depth = depth_[v];
       m.height = cfg_.backboneHeight;
       m.group = cfg_.group;
-      m.payload = cfg_.payload;
-      return Action::transmit(m, bTdm_.channelOf(cfg_.bSlot));
+      m.payload = payload_[v];
+      return Action::transmit(m, bTdm_.channelOf(bSlot_[v]));
     }
     if (r < tx) return Action::sleep();
-    bSent_ = true;
+    f |= kBSent;
   }
 
-  if (!lSent_) {
-    const Round tx = lTransmitRound();
+  if (!(f & kLSent)) {
+    const Round tx = lTransmitRound(v);
     if (r == tx) {
-      lSent_ = true;
+      f |= kLSent;
       Message m;
       m.kind = MsgKind::kData;
-      m.sender = cfg_.self;
-      m.slot = cfg_.lSlot;
+      m.sender = v;
+      m.slot = lSlot_[v];
       m.windowSize = cfg_.lWindow;
-      m.depth = cfg_.depth;
+      m.depth = depth_[v];
       m.group = cfg_.group;
-      m.payload = cfg_.payload;
-      return Action::transmit(m, lTdm_.channelOf(cfg_.lSlot));
+      m.payload = payload_[v];
+      return Action::transmit(m, lTdm_.channelOf(lSlot_[v]));
     }
     if (r < tx) return Action::sleep();
-    lSent_ = true;
+    f |= kLSent;
   }
   return Action::sleep();
 }
 
-void IcffNodeProtocol::onReceive(const Message& m, Round r, Channel) {
-  if (m.kind != MsgKind::kData && m.kind != MsgKind::kControl) return;
-  if (!hasPayload_) {
-    hasPayload_ = true;
-    payloadRound_ = r;
-    cfg_.payload = m.payload;
-  }
+bool IcffSwarm::isDone(NodeId v) const {
+  const std::uint8_t f = flags_[v];
+  constexpr std::uint8_t all = kHasPayload | kPathSent | kBSent | kLSent;
+  return (f & (kIdle | kMissed)) != 0 || (f & all) == all;
 }
 
-bool IcffNodeProtocol::isDone() const {
-  return idle_ || missed_ || (hasPayload_ && pathSent_ && bSent_ && lSent_);
-}
-
-Round IcffNodeProtocol::nextWake(Round now) const {
-  if (idle_ || missed_) return kNoWake;
-  if (!hasPayload_) {
+Round IcffSwarm::nextWake(NodeId v, Round now) const {
+  const std::uint8_t f = flags_[v];
+  if (f & (kIdle | kMissed)) return kNoWake;
+  if (!(f & kHasPayload)) {
     // Path-listen round, the b-listen window, and the window-end round
-    // where missed_ flips.
+    // where kMissed flips.
     Round next = kNoWake;
-    if (cfg_.pathIndex > 0 && static_cast<Round>(cfg_.pathIndex) - 1 > now)
-      next = cfg_.pathIndex - 1;
-    const Round w = std::max(now + 1, bListenStart());
-    if (w <= bListenEnd()) next = std::min(next, w);
+    if (pathIndex_[v] > 0 && static_cast<Round>(pathIndex_[v]) - 1 > now)
+      next = pathIndex_[v] - 1;
+    const Round w = std::max(now + 1, bListenStart(v));
+    if (w <= bListenEnd(v)) next = std::min(next, w);
     return next;
   }
-  if (!pathSent_) {
-    const Round tx = cfg_.pathIndex;
+  if (!(f & kPathSent)) {
+    const Round tx = pathIndex_[v];
     return tx > now ? tx : now + 1;
   }
-  if (!bSent_) {
-    const Round tx = bTransmitRound();
+  if (!(f & kBSent)) {
+    const Round tx = bTransmitRound(v);
     return tx > now ? tx : now + 1;
   }
-  if (!lSent_) {
-    const Round tx = lTransmitRound();
+  if (!(f & kLSent)) {
+    const Round tx = lTransmitRound(v);
     return tx > now ? tx : now + 1;
   }
   return kNoWake;
 }
 
-namespace {
-
-BroadcastRun runIcff(const ClusterNet& net, NodeId source,
-                     std::optional<GroupId> group, std::uint64_t payload,
-                     MulticastMode mode, const ProtocolOptions& options) {
-  DSN_REQUIRE(net.contains(source), "broadcast source must be in the net");
-  const Graph& g = net.graph();
-
-  std::vector<NodeId> path;
-  for (NodeId v = source; v != kInvalidNode; v = net.parent(v))
-    path.push_back(v);
-  const Round backboneStart = static_cast<Round>(path.size()) - 1;
+SlottedWave admitIcffWave(const ClusterNet& net, NodeId source,
+                          std::optional<GroupId> group, std::uint64_t payload,
+                          MulticastMode mode, Channel channels) {
+  const detail::SourcePath path = detail::sourcePath(net, source);
+  const Round backboneStart = path.hops();
 
   // Flat schedule columns: one pass over the knowledge table instead of a
   // per-field accessor chase for every member (matters at n >= 10^5).
@@ -188,89 +193,70 @@ BroadcastRun runIcff(const ClusterNet& net, NodeId source,
 
   const TimeSlot bWindow = net.rootMaxBSlot();
   const TimeSlot lWindow = net.rootMaxLSlot();
-  const TdmMap bTdm(bWindow == 0 ? 1 : bWindow, options.channels);
-  const TdmMap lTdm(lWindow == 0 ? 1 : lWindow, options.channels);
-  const Round schedule =
-      backboneStart +
-      static_cast<Round>(backboneHeight + 1) * bTdm.windowLength() +
-      lTdm.windowLength();
+  const TdmMap bTdm(bWindow == 0 ? 1 : bWindow, channels);
+  const TdmMap lTdm(lWindow == 0 ? 1 : lWindow, channels);
 
-  SimConfig cfg;
-  cfg.channelCount = options.channels;
-  cfg.maxRounds = options.maxRounds > 0 ? options.maxRounds : schedule + 4;
-  cfg.traceCapacity = options.traceCapacity;
-  detail::applyScheduling(cfg, options);
+  SlottedWave wave;
+  wave.schedule = backboneStart +
+                  static_cast<Round>(backboneHeight + 1) * bTdm.windowLength() +
+                  lTdm.windowLength();
 
-  RadioSimulator sim(g, cfg);
-  detail::applyFailures(sim, options);
+  IcffSwarmConfig sc;
+  sc.bWindow = bWindow;
+  sc.lWindow = lWindow;
+  sc.channels = channels;
+  sc.backboneStart = backboneStart;
+  sc.backboneHeight = backboneHeight;
+  sc.group = group.value_or(kNoGroup);
+  sc.payload = payload;
+  const Graph& g = net.graph();
+  auto swarm = std::make_unique<IcffSwarm>(sc, g.size());
 
-  std::vector<BroadcastEndpoint*> endpoints(g.size(), nullptr);
-  std::vector<NodeId> intended;
-
-  // Path membership as a flat lookup instead of an O(|path|) scan per node.
-  std::vector<int> pathIndexOf(g.size(), -1);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i)
-    pathIndexOf[path[i]] = static_cast<int>(i);
-
+  wave.members.reserve(sched.members().size());
+  wave.intended.reserve(sched.members().size());
   for (NodeId v : sched.members()) {
     // A stale structure (crashes not yet repaired) may reference dead
     // nodes; they neither act nor count as intended receivers.
     if (!g.isAlive(v)) continue;
-    IcffNodeConfig nc;
-    nc.self = v;
-    nc.depth = sched.depth(v);
-    nc.backbone = sched.isBackbone(v);
-    nc.bSlot = nc.backbone ? sched.bSlot(v) : kNoSlot;
-    nc.lSlot = nc.backbone ? sched.lSlot(v) : kNoSlot;
-    nc.bWindow = bWindow;
-    nc.lWindow = lWindow;
-    nc.channels = options.channels;
-    nc.backboneStart = backboneStart;
-    nc.backboneHeight = backboneHeight;
-    nc.isSource = v == source;
-    nc.payload = payload;
-    if (pathIndexOf[v] >= 0) {
-      nc.pathIndex = pathIndexOf[v];
-      nc.pathNext = path[static_cast<std::size_t>(nc.pathIndex) + 1];
-    }
+    const bool backbone = sched.isBackbone(v);
+    bool wantsPayload = true;
+    bool relays = backbone;
     if (group.has_value()) {
-      nc.group = *group;
-      nc.wantsPayload = net.inGroup(v, *group);
-      nc.relays = nc.backbone &&
-                  (mode == MulticastMode::kFullFlood ||
-                   net.relaysGroup(v, *group));
-      if (nc.wantsPayload) intended.push_back(v);
-    } else {
-      nc.wantsPayload = true;
-      nc.relays = nc.backbone;
-      intended.push_back(v);
+      wantsPayload = net.inGroup(v, *group);
+      relays = backbone && (mode == MulticastMode::kFullFlood ||
+                            net.relaysGroup(v, *group));
     }
-    auto p = std::make_unique<IcffNodeProtocol>(nc);
-    endpoints[v] = p.get();
-    sim.setProtocol(v, std::move(p));
+    wave.members.push_back(v);
+    if (wantsPayload) wave.intended.push_back(v);
+    const int pathIndex = path.indexOf[v];
+    swarm->addMember(v, sched.depth(v), backbone,
+                     backbone ? sched.bSlot(v) : kNoSlot,
+                     backbone ? sched.lSlot(v) : kNoSlot, pathIndex,
+                     path.nextAfter(pathIndex), v == source, relays,
+                     wantsPayload);
   }
-
-  BroadcastRun run;
-  run.scheduleLength = schedule;
-  run.sim = sim.run();
-  detail::collectDeliveryStats(sim, intended, endpoints, run);
-  return run;
+  wave.swarm = std::move(swarm);
+  return wave;
 }
-
-}  // namespace
 
 BroadcastRun runImprovedCffBroadcast(const ClusterNet& net, NodeId source,
                                      std::uint64_t payload,
                                      const ProtocolOptions& options) {
-  return runIcff(net, source, std::nullopt, payload,
-                 MulticastMode::kFullFlood, options);
+  return runSlottedWave(
+      net,
+      admitIcffWave(net, source, std::nullopt, payload,
+                    MulticastMode::kFullFlood, options.channels),
+      options);
 }
 
 BroadcastRun runMulticast(const ClusterNet& net, NodeId source,
                           GroupId group, std::uint64_t payload,
                           MulticastMode mode,
                           const ProtocolOptions& options) {
-  return runIcff(net, source, group, payload, mode, options);
+  return runSlottedWave(
+      net,
+      admitIcffWave(net, source, group, payload, mode, options.channels),
+      options);
 }
 
 }  // namespace dsn

@@ -16,12 +16,14 @@
 // group members consume.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "broadcast/run_result.hpp"
+#include "broadcast/slotted_swarm.hpp"
 #include "broadcast/tdm.hpp"
 #include "cluster/cnet.hpp"
-#include "radio/protocol.hpp"
 
 namespace dsn {
 
@@ -30,14 +32,9 @@ enum class MulticastMode : std::uint8_t {
   kFullFlood,    ///< no pruning; group members just filter on receipt
 };
 
-/// Per-node static schedule knowledge for Algorithm 2.
-struct IcffNodeConfig {
-  NodeId self = kInvalidNode;
-  Depth depth = 0;
-  bool backbone = false;
-  TimeSlot bSlot = kNoSlot;
-  TimeSlot lSlot = kNoSlot;
-  /// δ and Δ as known at the root.
+/// Run-wide schedule constants of one Algorithm-2 broadcast or multicast.
+struct IcffSwarmConfig {
+  /// δ and Δ as known at the root: the b- and l-window slot counts.
   TimeSlot bWindow = 0;
   TimeSlot lWindow = 0;
   Channel channels = 1;
@@ -45,49 +42,63 @@ struct IcffNodeConfig {
   Round backboneStart = 0;
   /// Backbone height H: step 2 starts at backboneStart + (H+1)·win(δ).
   int backboneHeight = 0;
-  int pathIndex = -1;
-  NodeId pathNext = kInvalidNode;
-  bool isSource = false;
-  /// Whether this node retransmits (multicast pruning: relay-list hit).
-  bool relays = true;
-  /// Whether this node wants the payload (broadcast: everyone; multicast:
-  /// group members). Non-wanting, non-relaying nodes sleep throughout.
-  bool wantsPayload = true;
   GroupId group = kNoGroup;
   std::uint64_t payload = 0;
 };
 
-/// The per-node state machine of Algorithm 2 (and multicast).
-class IcffNodeProtocol : public NodeProtocol, public BroadcastEndpoint {
+/// The whole network's Algorithm-2 (and multicast) state, keyed by node
+/// id: a handful of bytes per node in flat arrays.
+class IcffSwarm final : public SlottedSwarm {
  public:
-  explicit IcffNodeProtocol(const IcffNodeConfig& cfg);
+  IcffSwarm(const IcffSwarmConfig& cfg, std::size_t nodeCount);
 
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override;
-  Round nextWake(Round now) const override;
+  /// Registers node `v` with its static schedule knowledge: depth,
+  /// backbone status and b/l-slots (kNoSlot = silent), position on the
+  /// source->root relay path (-1 = off-path) and the next hop on it,
+  /// whether it retransmits (multicast pruning: relay-list hit) and
+  /// whether it wants the payload (broadcast: everyone; multicast: group
+  /// members). Nodes that neither want, relay nor serve the path sleep
+  /// throughout.
+  void addMember(NodeId v, Depth depth, bool backbone, TimeSlot bSlot,
+                 TimeSlot lSlot, int pathIndex, NodeId pathNext,
+                 bool isSource, bool relays, bool wantsPayload);
 
-  bool hasPayload() const override { return hasPayload_; }
-  Round payloadRound() const override { return payloadRound_; }
+  Action onRound(NodeId v, Round r) override;
+  bool isDone(NodeId v) const override;
+  Round nextWake(NodeId v, Round now) const override;
 
  private:
-  IcffNodeConfig cfg_;
-  TdmMap bTdm_;
-  TdmMap lTdm_;
-  bool hasPayload_;
-  Round payloadRound_;
-  bool pathSent_;
-  bool bSent_;
-  bool lSent_;
-  bool missed_ = false;
-  bool idle_;  ///< neither wants nor relays nor serves the path
+  static constexpr std::uint8_t kPathSent = 2;
+  static constexpr std::uint8_t kBSent = 4;
+  static constexpr std::uint8_t kLSent = 8;
+  static constexpr std::uint8_t kMissed = 16;
+  static constexpr std::uint8_t kIdle = 32;
+  static constexpr std::uint8_t kBackbone = 64;
 
   Round leafWindowStart() const;
-  Round bListenStart() const;
-  Round bListenEnd() const;
-  Round bTransmitRound() const;
-  Round lTransmitRound() const;
+  Round bListenStart(NodeId v) const;
+  Round bListenEnd(NodeId v) const;
+  Round bTransmitRound(NodeId v) const;
+  Round lTransmitRound(NodeId v) const;
+
+  IcffSwarmConfig cfg_;
+  TdmMap bTdm_;
+  TdmMap lTdm_;
+  // Hot per-node schedule state, indexed by node id.
+  std::vector<Depth> depth_;
+  std::vector<TimeSlot> bSlot_;
+  std::vector<TimeSlot> lSlot_;
+  std::vector<std::int32_t> pathIndex_;
+  std::vector<NodeId> pathNext_;
 };
+
+/// Admits an Algorithm-2 wave of `payload` from `source` against `net`'s
+/// schedule as of now: one IcffSwarm over every live member. With a
+/// `group`, only its members are intended receivers and relays are
+/// pruned per `mode`; without one, the wave is a broadcast.
+SlottedWave admitIcffWave(const ClusterNet& net, NodeId source,
+                          std::optional<GroupId> group, std::uint64_t payload,
+                          MulticastMode mode, Channel channels);
 
 /// Algorithm-2 broadcast of `payload` from `source`.
 BroadcastRun runImprovedCffBroadcast(const ClusterNet& net, NodeId source,

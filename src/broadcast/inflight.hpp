@@ -29,7 +29,7 @@
 
 namespace dsn {
 
-class CffSwarm;
+class SlottedSwarm;
 
 /// Outcome of one in-flight wave, with degraded-coverage accounting.
 /// `intended` splits into three disjoint classes at completion time:
@@ -124,15 +124,9 @@ class InFlightBroadcast {
   std::vector<NodeId> intended_;
   std::vector<std::uint8_t> displaced_;     // indexed by id < admitSize_
   std::size_t admitSize_ = 0;               // graph size at admission
-  const CffSwarm* cffView_ = nullptr;       // kCff delivery view
-  std::vector<BroadcastEndpoint*> endpoints_;  // kImprovedCff delivery
+  const SlottedSwarm* swarm_ = nullptr;     // delivery view (sim_ owns it)
   std::unique_ptr<RadioSimulator> sim_;
   SimResult lastResult_;
-
-  void admitCff(const ClusterNet& net, NodeId source, std::uint64_t payload,
-                const ProtocolOptions& options);
-  void admitIcff(const ClusterNet& net, NodeId source, std::uint64_t payload,
-                 const ProtocolOptions& options);
 };
 
 }  // namespace dsn

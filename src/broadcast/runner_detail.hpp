@@ -68,42 +68,4 @@ inline void collectDeliveryStats(
   }
 }
 
-/// Swarm flavour of collectDeliveryStats: per-node delivery state is
-/// queried from the one SoA protocol object (`view.hasPayload(v)` /
-/// `view.payloadRound(v)`) instead of per-node endpoints.
-template <typename DeliveryView>
-inline void collectSwarmDeliveryStats(const RadioSimulator& sim,
-                                      const std::vector<NodeId>& intended,
-                                      const DeliveryView& view,
-                                      BroadcastRun& run) {
-  run.intended = intended.size();
-  run.delivered = 0;
-  run.lastDeliveryRound = -1;
-  for (NodeId v : intended) {
-    if (view.hasPayload(v)) {
-      ++run.delivered;
-      run.lastDeliveryRound =
-          std::max(run.lastDeliveryRound, view.payloadRound(v));
-    }
-  }
-  run.maxAwakeRounds = sim.energy().maxAwakeRounds();
-  run.meanAwakeRounds = sim.energy().meanAwakeRounds();
-  run.transmissions = run.sim.totalTransmissions;
-  run.collisions = run.sim.totalCollisions;
-
-  if (sim.trace().enabled()) run.trace = sim.trace();
-
-  const std::size_t n = sim.energy().nodeCount();
-  run.deliveryRound.assign(n, -1);
-  run.listenRounds.assign(n, 0);
-  run.transmitRounds.assign(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (view.hasPayload(v)) run.deliveryRound[v] = view.payloadRound(v);
-    run.listenRounds[v] =
-        static_cast<std::uint32_t>(sim.energy().node(v).listenRounds);
-    run.transmitRounds[v] =
-        static_cast<std::uint32_t>(sim.energy().node(v).transmitRounds);
-  }
-}
-
 }  // namespace dsn::detail

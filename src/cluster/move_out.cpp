@@ -205,9 +205,14 @@ MoveOutReport ClusterNet::withdrawRoot() {
   rootMaxUp_ = 0;
 
   std::vector<NodeId> pending(subtree.begin() + 1, subtree.end());
-  if (!pending.empty()) {
-    // Seed a fresh root, then grow as in the non-root case.
-    const NodeId seed = *std::min_element(pending.begin(), pending.end());
+  // Seed a fresh root from the lowest live id, then grow as in the
+  // non-root case. A crashed member that recovery has not pruned yet
+  // cannot be seeded; like every dead member it stays pending and
+  // counts as orphaned.
+  NodeId seed = kInvalidNode;
+  for (NodeId t : pending)
+    if (graph_.isAlive(t)) seed = std::min(seed, t);
+  if (seed != kInvalidNode) {
     moveIn(seed);
     pending.erase(std::find(pending.begin(), pending.end(), seed));
     bool progress = true;

@@ -44,7 +44,7 @@ class RoundProfiler {
     start_ = std::chrono::steady_clock::now();
   }
 
-  /// `activeSize` = wake-heap pops + carried transmitters this round,
+  /// `activeSize` = nodes the wake calendar released this round,
   /// `resolveWork` = Σ CSR degrees over this round's transmitters.
   void endRound(std::uint64_t activeSize, std::uint64_t resolveWork) {
     if (!active_) return;

@@ -1,13 +1,13 @@
 #include "radio/simulator.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/timer.hpp"
+#include "radio/wake_calendar.hpp"
 #include "util/error.hpp"
 
 namespace dsn {
@@ -279,8 +279,6 @@ class ActiveSetEngine : public SimEngine {
   }
 
  private:
-  using WakeEntry = std::pair<Round, NodeId>;
-
   void seed(Round from);
 
   const CsrView* csr_ = nullptr;
@@ -292,12 +290,12 @@ class ActiveSetEngine : public SimEngine {
   // node is counted out at most once per seed.
   std::vector<std::uint8_t> resolved_;
   std::size_t pending_ = 0;
-  // Min-heap over (wake round, node); std::greater pops ascending (round,
-  // node), which preserves the full scan's node-id iteration order within
-  // a round. Each node holds at most one entry (re-queued only after its
-  // entry is processed), so the pop sequence is a pure function of the
-  // contents regardless of internal heap layout.
-  std::vector<WakeEntry> wake_;
+  // Wake calendar: releases each round's wakers in ascending node id,
+  // which preserves the full scan's node-id iteration order within a
+  // round. Each node holds at most one entry (re-queued only after its
+  // entry is processed), so the release sequence is a pure function of
+  // the queued (round, node) pairs.
+  WakeCalendar wake_;
   // Scheduled deaths as a sorted event list; processing an event retires
   // the node from the pending count exactly when isDead starts holding.
   std::vector<std::pair<Round, NodeId>> deaths_;
@@ -324,8 +322,7 @@ void ActiveSetEngine::seed(Round from) {
   actions_.assign(n_, Action::sleep());
   resolved_.assign(n_, 0);
   pending_ = 0;
-  wake_.clear();
-  wake_.reserve(n_ + 1);
+  wake_.reset(n_, from, sim.config_.maxRounds);
 
   for (NodeId v = 0; v < n_; ++v) {
     if (!sim.nodePresent(v) || !sim.graph_.isAlive(v)) {
@@ -346,10 +343,9 @@ void ActiveSetEngine::seed(Round from) {
     const Round nw = sim.nodeNextWake(v, from - 1);
     if (nw != kNoWake) {
       DSN_REQUIRE(nw >= from, "nextWake must not name a past round");
-      wake_.emplace_back(nw, v);
+      wake_.push(v, nw);
     }
   }
-  std::make_heap(wake_.begin(), wake_.end(), std::greater<WakeEntry>{});
 
   deaths_.clear();
   for (const auto& [v, dr] : sim.failures_.deathSchedule()) {
@@ -401,8 +397,8 @@ void ActiveSetEngine::advanceTo(Round stop) {
     // Fast-forward over idle spans: rounds with no waker and no death are
     // all-sleep no-ops in the full scan; only the round counter moves.
     // Clamped to the segment boundary so a pause lands exactly on `stop`.
-    Round nextEvent = sim.config_.maxRounds;
-    if (!wake.empty()) nextEvent = std::min(nextEvent, wake.front().first);
+    // advance() also re-bases the calendar at r, no wake being earlier.
+    Round nextEvent = std::min(sim.config_.maxRounds, wake.advance(r));
     if (deathIdx_ < deaths_.size()) {
       nextEvent = std::min(nextEvent, deaths_[deathIdx_].first);
     }
@@ -423,13 +419,8 @@ void ActiveSetEngine::advanceTo(Round stop) {
     profiler_.beginRound();
 
     // Phase 1: this round's wakers, ascending node id.
-    active.clear();
+    wake.drain(r, active);
     transmitters.clear();
-    while (!wake.empty() && wake.front().first == r) {
-      std::pop_heap(wake.begin(), wake.end(), std::greater<WakeEntry>{});
-      active.push_back(wake.back().second);
-      wake.pop_back();
-    }
     if (frRound_ && frSampled)
       frRound_->record(frEvent(obs::FrType::kRoundBegin, r, 0,
                                static_cast<std::uint32_t>(active.size())));
@@ -537,8 +528,7 @@ void ActiveSetEngine::advanceTo(Round stop) {
       const Round nw = sim.nodeNextWake(v, r);
       if (nw != kNoWake) {
         DSN_REQUIRE(nw > r, "nextWake must name a future round");
-        wake.emplace_back(nw, v);
-        std::push_heap(wake.begin(), wake.end(), std::greater<WakeEntry>{});
+        wake.push(v, nw);
       }
     }
 

@@ -17,6 +17,7 @@
 #include "broadcast/inflight.hpp"
 #include "broadcast/runner.hpp"
 #include "core/sensor_network.hpp"
+#include "radio/wake_calendar.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -225,6 +226,46 @@ ProgramOutcome runInterleavedMoves(BroadcastScheme scheme,
   return finishProgram(wave);
 }
 
+// A 5,000-node line rooted at one end: the wave's schedule runs to
+// 5,000 rounds, one depth per round. At both resyncs below, wakes past
+// round resync + WakeCalendar::kMaxHorizon re-queue beyond the horizon,
+// and the run then finishes without another resync, so those wakes must
+// come back from the calendar's overflow heap.
+ProgramOutcome runLongLineProgram(BroadcastScheme scheme,
+                                  SimScheduling scheduling) {
+  NetworkConfig cfg = paperNetwork(5000, 0x1F1C0);
+  cfg.deployment = DeploymentKind::kLine;
+  SensorNetwork net(cfg);
+  const NodeId source = net.clusterNet().root();
+  InFlightBroadcast wave(net.clusterNet(), scheme, source, 0x11E,
+                         withScheduling(scheduling));
+  EXPECT_GT(wave.scheduleLength(),
+            static_cast<Round>(WakeCalendar::kMaxHorizon));
+
+  // Segment 1, then the far leaf crashes and a mid-line node drifts.
+  wave.advanceTo(100);
+  const NodeId victim = source == 4999 ? 0 : 4999;
+  const NodeId mover = source == 3000 ? 3001 : 3000;
+  net.crashSensor(victim);
+  net.repairAfterFailures();
+  const Point2D p = net.position(mover);
+  net.moveSensor(mover, {p.x, p.y + 10.0});
+  wave.noteDisplaced(victim);
+  wave.noteDisplaced(mover);
+  wave.onTopologyChanged();
+
+  // Ragged pauses, then a second crash and resync.
+  wave.advanceTo(213);
+  wave.advanceTo(300);
+  const NodeId late = source == 4997 ? 1 : 4997;
+  net.crashSensor(late);
+  net.repairAfterFailures();
+  wave.noteDisplaced(late);
+  wave.onTopologyChanged();
+  for (Round stop = 1799; !wave.finished(); stop += 1499) wave.advanceTo(stop);
+  return finishProgram(wave);
+}
+
 void expectSameOutcome(const ProgramOutcome& a, const ProgramOutcome& b) {
   expectSameReport(a.report, b.report);
   EXPECT_EQ(a.deliveredFlags, b.deliveredFlags);
@@ -253,6 +294,20 @@ TEST(InFlightBroadcastTest, InterleavedMovesBitIdenticalAcrossSchedulers) {
           runInterleavedMoves(scheme, SimScheduling::kActiveSet, seed),
           runInterleavedMoves(scheme, SimScheduling::kFullScan, seed));
     }
+  }
+}
+
+TEST(InFlightBroadcastTest, LongLineResyncBeyondHorizonAcrossSchedulers) {
+  for (const BroadcastScheme scheme :
+       {BroadcastScheme::kCff, BroadcastScheme::kImprovedCff}) {
+    SCOPED_TRACE(toString(scheme));
+    const ProgramOutcome ref =
+        runLongLineProgram(scheme, SimScheduling::kFullScan);
+    EXPECT_EQ(ref.report.departed, 2u);
+    EXPECT_GT(ref.report.lastDeliveryRound,
+              static_cast<Round>(WakeCalendar::kMaxHorizon));
+    expectSameOutcome(runLongLineProgram(scheme, SimScheduling::kActiveSet),
+                      ref);
   }
 }
 

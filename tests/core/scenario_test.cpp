@@ -376,6 +376,26 @@ TEST(ScenarioRunnerTest, ChurnSkipsVictimsThatAlreadyCrashed) {
   }
 }
 
+// On these networks a churn tick makes the root leave while a crashed
+// member of its tree is still unpruned. The new root must be seeded from
+// a live member; the dead one stays orphaned until recovery prunes it.
+void expectChurnEndsValid(std::uint64_t seed, const std::string& churn) {
+  auto net = makeNet(40, seed);
+  const auto outcome = runScenario(
+      net, parseScenario(churn + "validate\nbroadcast random icff\n"));
+  EXPECT_TRUE(outcome.valid) << outcome.firstViolation;
+  EXPECT_FALSE(net.hasStaleStructure());
+  EXPECT_EQ(outcome.broadcasts, 1u);
+}
+
+TEST(ScenarioRunnerTest, ChurnRootLeaveOverUnprunedCrashSeed15) {
+  expectChurnEndsValid(15, "churn 4 4\n");
+}
+
+TEST(ScenarioRunnerTest, ChurnRootLeaveOverUnprunedCrashSeed247) {
+  expectChurnEndsValid(247, "churn 6 6\n");
+}
+
 TEST(ScenarioRunnerTest, ZeroRateChurnIsANoOp) {
   auto net = makeNet();
   const std::size_t before = net.size();

@@ -7,8 +7,8 @@
 // with the flight recorder enabled on a deliberately undersized ring —
 // record() must stay allocation-free even while wrapping (DESIGN.md §13).
 // A third pass runs the whole active-set engine over a structure-of-
-// arrays swarm (DESIGN.md §14): its wake heap, action table and resolve
-// outcome reach a high-water capacity and are then reused, so a 4x
+// arrays swarm (DESIGN.md §14): its wake calendar, action table and
+// resolve outcome reach a high-water capacity and are then reused, so a 4x
 // longer run must cost exactly as many allocations as a short one — the
 // per-round marginal cost is zero. A plain executable (not gtest) so the
 // override sees only our own code paths.

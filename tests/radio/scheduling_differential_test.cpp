@@ -10,6 +10,7 @@
 #include "broadcast/reliable.hpp"
 #include "broadcast/runner.hpp"
 #include "core/sensor_network.hpp"
+#include "radio/wake_calendar.hpp"
 
 namespace dsn {
 namespace {
@@ -126,6 +127,54 @@ TEST(SchedulingDifferentialTest, BurstLossAndJamZones) {
   const auto full =
       net.broadcast(BroadcastScheme::kImprovedCff, net.clusterNet().root(), 13,
                     withScheduling(opts, SimScheduling::kFullScan));
+  expectSameRun(active, full);
+}
+
+// A 5,000-node line rooted at one end floods one depth per round, so a
+// broadcast from the root takes 5,000 rounds and one from mid-line
+// 7,500. Every wake queued at round 0 for a round past
+// WakeCalendar::kMaxHorizon reaches the ring only through the
+// calendar's overflow heap.
+NetworkConfig longLine() {
+  NetworkConfig cfg = paperNetwork(5000, 0xD1FF07);
+  cfg.deployment = DeploymentKind::kLine;
+  return cfg;
+}
+
+TEST(SchedulingDifferentialTest, LongLineWakesBeyondHorizon) {
+  const SensorNetwork net(longLine());
+  ProtocolOptions opts;
+  opts.traceCapacity = 1 << 16;
+  for (const BroadcastScheme scheme :
+       {BroadcastScheme::kCff, BroadcastScheme::kImprovedCff}) {
+    SCOPED_TRACE(toString(scheme));
+    const NodeId source = net.clusterNet().root();
+    const auto active = net.broadcast(
+        scheme, source, 23, withScheduling(opts, SimScheduling::kActiveSet));
+    const auto full = net.broadcast(
+        scheme, source, 23, withScheduling(opts, SimScheduling::kFullScan));
+    EXPECT_GT(active.lastDeliveryRound,
+              static_cast<Round>(WakeCalendar::kMaxHorizon));
+    expectSameRun(active, full);
+  }
+}
+
+TEST(SchedulingDifferentialTest, LongLineWakesBeyondHorizonWithDrops) {
+  const SensorNetwork net(longLine());
+  ProtocolOptions opts;
+  opts.dropProbability = 0.0005;
+  opts.traceCapacity = 1 << 16;
+  // A mid-line source first relays the payload up the path to the root.
+  const NodeId source = 2500;
+  const auto active =
+      net.broadcast(BroadcastScheme::kCff, source, 29,
+                    withScheduling(opts, SimScheduling::kActiveSet));
+  const auto full =
+      net.broadcast(BroadcastScheme::kCff, source, 29,
+                    withScheduling(opts, SimScheduling::kFullScan));
+  EXPECT_GT(active.sim.droppedTransmissions, 0u);
+  EXPECT_GT(active.lastDeliveryRound,
+            static_cast<Round>(WakeCalendar::kMaxHorizon));
   expectSameRun(active, full);
 }
 
