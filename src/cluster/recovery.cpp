@@ -179,15 +179,13 @@ RecoveryReport RecoveryManager::repair() {
   }
 
   report.cost = net.costs_ - before;
-  if (obs::FlightRecorder* fr = obs::recorderFor<obs::kFrCatCluster>()) {
-    obs::FrEvent e;
-    e.node = static_cast<std::uint32_t>(report.staleRemoved);
-    e.data = static_cast<std::uint32_t>(report.reattached);
-    e.type = static_cast<std::uint8_t>(obs::FrType::kRepair);
-    e.aux = static_cast<std::uint16_t>(
-        std::min<std::size_t>(report.orphaned, 65535));
-    fr->record(e);
-  }
+  if (obs::FlightRecorder* fr = obs::recorderFor<obs::kFrCatCluster>())
+    fr->record(obs::makeFrEvent(
+        obs::FrType::kRepair, 0,
+        static_cast<std::uint32_t>(report.staleRemoved),
+        static_cast<std::uint32_t>(report.reattached), 0,
+        static_cast<std::uint16_t>(
+            std::min<std::size_t>(report.orphaned, 65535))));
   flushRecoveryMetrics(report);
   if (obs::enabled())
     obs::globalMetrics()

@@ -37,14 +37,9 @@ namespace {
 /// assignments are rare relative to radio traffic, so they are recorded
 /// whenever the cluster category is live, independent of round sampling.
 void recordSlotRecompute(NodeId y, TimeSlot slot, std::uint16_t kind) {
-  if (obs::FlightRecorder* fr = obs::recorderFor<obs::kFrCatCluster>()) {
-    obs::FrEvent e;
-    e.node = y;
-    e.data = static_cast<std::uint32_t>(slot);
-    e.type = static_cast<std::uint8_t>(obs::FrType::kSlotRecompute);
-    e.aux = kind;
-    fr->record(e);
-  }
+  if (obs::FlightRecorder* fr = obs::recorderFor<obs::kFrCatCluster>())
+    fr->record(obs::makeFrEvent(obs::FrType::kSlotRecompute, 0, y,
+                                static_cast<std::uint32_t>(slot), 0, kind));
 }
 
 /// Number of values occurring exactly once in `slots`. (The callers only

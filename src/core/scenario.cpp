@@ -579,13 +579,8 @@ ScenarioOutcome runScenario(SensorNetwork& net,
           DSN_REQUIRE(net.graph().isAlive(e.node),
                       "scenario: crash of node not deployed");
           net.crashSensor(e.node);
-          if (obs::FlightRecorder* fr =
-                  obs::recorderFor<obs::kFrCatFault>()) {
-            obs::FrEvent ev;
-            ev.node = e.node;
-            ev.type = static_cast<std::uint8_t>(obs::FrType::kCrash);
-            fr->record(ev);
-          }
+          if (obs::FlightRecorder* fr = obs::recorderFor<obs::kFrCatFault>())
+            fr->record(obs::makeFrEvent(obs::FrType::kCrash, 0, e.node));
           ++out.crashes;
           os << "crash " << e.node << " -> structure "
              << (net.hasStaleStructure() ? "stale" : "clean");

@@ -137,7 +137,7 @@ struct ScenarioOutcome {
   /// scenario executed (broadcasts, multicasts, gathers), concatenated
   /// in execution order. Empty unless
   /// ScenarioOptions::protocol.traceCapacity > 0.
-  std::vector<TraceEvent> traceEvents;
+  std::vector<obs::FrEvent> traceEvents;
   /// Events lost to the per-run trace capacity caps.
   std::size_t traceDropped = 0;
 };

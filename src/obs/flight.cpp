@@ -291,25 +291,16 @@ ScopedRecorderSink::~ScopedRecorderSink() {
 }
 
 void recordRunBegin(FrRunKind kind, std::uint32_t source) {
-  if (FlightRecorder* fr = recorderFor<kFrCatRun>()) {
-    FrEvent e;
-    e.type = static_cast<std::uint8_t>(FrType::kRunBegin);
-    e.node = source;
-    e.aux = static_cast<std::uint16_t>(kind);
-    fr->record(e);
-  }
+  if (FlightRecorder* fr = recorderFor<kFrCatRun>())
+    fr->record(makeFrEvent(FrType::kRunBegin, 0, source, 0, 0,
+                           static_cast<std::uint16_t>(kind)));
 }
 
 void recordRunEnd(FrRunKind kind, std::uint32_t delivered,
                   std::uint32_t rounds) {
-  if (FlightRecorder* fr = recorderFor<kFrCatRun>()) {
-    FrEvent e;
-    e.type = static_cast<std::uint8_t>(FrType::kRunEnd);
-    e.node = delivered;
-    e.data = rounds;
-    e.aux = static_cast<std::uint16_t>(kind);
-    fr->record(e);
-  }
+  if (FlightRecorder* fr = recorderFor<kFrCatRun>())
+    fr->record(makeFrEvent(FrType::kRunEnd, 0, delivered, rounds, 0,
+                           static_cast<std::uint16_t>(kind)));
 }
 
 void flushRecorderTelemetry() {

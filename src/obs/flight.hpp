@@ -123,6 +123,7 @@ bool parseFrCategories(std::string_view list, std::uint32_t& mask);
 
 /// One fixed-size binary event record. 16 bytes, trivially copyable —
 /// the unit of the ring buffer and of the .dsntrace on-disk format.
+/// It is also the radio simulator's per-run trace record (radio/trace.hpp).
 struct FrEvent {
   std::uint32_t round = 0;
   std::uint32_t node = 0;
@@ -130,9 +131,20 @@ struct FrEvent {
   std::uint8_t type = 0;
   std::uint8_t channel = 0;
   std::uint16_t aux = 0;
+
+  friend bool operator==(const FrEvent&, const FrEvent&) = default;
 };
 static_assert(sizeof(FrEvent) == 16, "FrEvent must stay 16 bytes");
 static_assert(std::is_trivially_copyable_v<FrEvent>);
+
+/// Builds an event; fields the type does not use stay zero.
+constexpr FrEvent makeFrEvent(FrType t, std::uint32_t round,
+                              std::uint32_t node, std::uint32_t data = 0,
+                              std::uint8_t channel = 0,
+                              std::uint16_t aux = 0) {
+  return FrEvent{round, node, data, static_cast<std::uint8_t>(t), channel,
+                 aux};
+}
 
 /// Human-readable one-line rendering (wsn_trace dump, debugging).
 std::string describeFrEvent(const FrEvent& e);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstring>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -126,6 +128,79 @@ FrTraceFile readDsnTrace(std::istream& is) {
     out.events.push_back(e);
   }
   return out;
+}
+
+namespace {
+
+/// The six types the radio trace schema covers; the rest extend it.
+bool inRadioSchema(FrType t) {
+  switch (t) {
+    case FrType::kTransmit:
+    case FrType::kDelivery:
+    case FrType::kCollision:
+    case FrType::kNodeDeath:
+    case FrType::kDroppedTransmit:
+    case FrType::kJammedTransmit:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Message kinds a radio event carries in `aux`, in the order of
+/// radio/message.hpp's MsgKind.
+constexpr const char* kMsgKindNames[] = {"data", "token", "control", "nack"};
+
+void appendUint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
+
+void appendFrEventJson(std::string& out, const FrEvent& e) {
+  const FrType t = static_cast<FrType>(e.type);
+  out += "{\"type\":\"";
+  out += t == FrType::kDelivery ? "receive" : frTypeName(t);
+  out += "\",\"round\":";
+  appendUint(out, e.round);
+  out += ",\"node\":";
+  appendUint(out, e.node);
+  out += ",\"peer\":";
+  if (t == FrType::kDelivery)
+    appendUint(out, e.data);
+  else
+    out += "null";
+  out += ",\"channel\":";
+  appendUint(out, e.channel);
+  if (!inRadioSchema(t)) {
+    out += ",\"kind\":null,\"data\":";
+    appendUint(out, e.data);
+    out += ",\"aux\":";
+    appendUint(out, e.aux);
+    out += '}';
+    return;
+  }
+  out += ",\"kind\":\"";
+  // Collisions and deaths carry no frame; they report the default kind.
+  if (t == FrType::kCollision || t == FrType::kNodeDeath)
+    out += "data";
+  else
+    out += e.aux < std::size(kMsgKindNames) ? kMsgKindNames[e.aux] : "?";
+  out += "\"}";
+}
+
+bool writeFrEventsJsonl(std::ostream& os,
+                        const std::vector<FrEvent>& events) {
+  std::string line;
+  for (const FrEvent& e : events) {
+    line.clear();
+    appendFrEventJson(line, e);
+    line += '\n';
+    os << line;
+  }
+  return static_cast<bool>(os);
 }
 
 namespace {

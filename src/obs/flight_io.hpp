@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "obs/flight.hpp"
@@ -55,6 +56,22 @@ bool writeDsnTrace(std::ostream& os, const FlightRecorder& recorder,
 /// Parses a .dsntrace stream. Throws std::runtime_error on bad magic,
 /// unsupported version, or truncation.
 FrTraceFile readDsnTrace(std::istream& is);
+
+/// Appends one event to `out` as a single-line JSON object (no
+/// newline). The six radio types use the radio trace schema
+///   {"type":"transmit","round":3,"node":7,"peer":null,
+///    "channel":0,"kind":"data"}
+/// where deliveries are named "receive" and carry the transmitter as
+/// `peer` (null for every other type). The other types keep those keys
+/// with a null kind and add the raw fields:
+///   {"type":"round_end","round":3,"node":5,"peer":null,"channel":0,
+///    "kind":null,"data":40,"aux":6}
+/// Allocation-free once `out` has the capacity.
+void appendFrEventJson(std::string& out, const FrEvent& e);
+
+/// Writes one appendFrEventJson object per line. Returns false when the
+/// stream errors.
+bool writeFrEventsJsonl(std::ostream& os, const std::vector<FrEvent>& events);
 
 /// Emits Chrome trace_event JSON (load in about:tracing or Perfetto).
 /// Rounds become "X" complete slices on tid 0 (1 round = 1000 synthetic

@@ -14,24 +14,32 @@ namespace dsn {
 
 namespace {
 
-/// Builds a flight-recorder event from a radio-layer site. Round and
-/// channel narrow to the record's fixed-width fields; both are bounded
-/// far below the cast limits in practice (maxRounds, channelCount).
+/// Builds an event from a simulator site. Round and channel narrow to
+/// the record's fixed-width fields: channels are below channelCount <=
+/// kMaxChannels, and rounds stay far below 2^32 in practice (maxRounds).
 obs::FrEvent frEvent(obs::FrType t, Round r, std::uint32_t node,
                      std::uint32_t data = 0, Channel channel = 0,
                      std::uint16_t aux = 0) {
-  obs::FrEvent e;
-  e.round = static_cast<std::uint32_t>(r);
-  e.node = node;
-  e.data = data;
-  e.type = static_cast<std::uint8_t>(t);
-  e.channel = static_cast<std::uint8_t>(channel);
-  e.aux = aux;
-  return e;
+  return obs::makeFrEvent(t, static_cast<std::uint32_t>(r), node, data,
+                          static_cast<std::uint8_t>(channel), aux);
 }
 
 std::uint16_t frKind(MsgKind k) {
   return static_cast<std::uint16_t>(k);
+}
+
+/// A transmit-side event (sent, dropped or jammed) of node v's action.
+obs::FrEvent txEvent(obs::FrType t, Round r, NodeId v, const Action& a) {
+  return frEvent(t, r, v, 0, a.channel, frKind(a.message.kind));
+}
+
+/// The one recording path for radio events: every event goes to the
+/// run's bounded trace, and to the flight-recorder ring when its
+/// category's recorder is set and the round is sampled.
+void recordRadio(Trace& trace, obs::FlightRecorder* ring, bool sampled,
+                 const obs::FrEvent& e) {
+  trace.record(e);
+  if (ring != nullptr && sampled) ring->record(e);
 }
 
 /// Folds one finished run into the global registry. Aggregates are
@@ -61,7 +69,9 @@ RadioSimulator::RadioSimulator(const Graph& graph, SimConfig config)
       protocols_(graph.size()),
       energy_(graph.size()),
       trace_(config.traceCapacity) {
-  DSN_REQUIRE(config_.channelCount >= 1, "need at least one channel");
+  DSN_REQUIRE(config_.channelCount >= 1 &&
+                  config_.channelCount <= kMaxChannels,
+              "channelCount must be in [1, kMaxChannels]");
   DSN_REQUIRE(config_.maxRounds > 0, "maxRounds must be positive");
 }
 
@@ -170,13 +180,9 @@ void FullScanEngine::advanceTo(Round stop) {
         if (sim.failures_.isJammed(v, r)) {
           // Energy spent, frame smothered by the jammer.
           ++result.jammedLosses;
-          sim.trace_.record(TraceEvent{TraceEventType::kJammedTransmit, r, v,
-                                       kInvalidNode, actions_[v].channel,
-                                       actions_[v].message.kind});
-          if (frFault_ && frSampled)
-            frFault_->record(frEvent(obs::FrType::kJammedTransmit, r, v, 0,
-                                     actions_[v].channel,
-                                     frKind(actions_[v].message.kind)));
+          recordRadio(sim.trace_, frFault_, frSampled,
+                      txEvent(obs::FrType::kJammedTransmit, r, v,
+                              actions_[v]));
           actions_[v] = Action::sleep();
           continue;
         }
@@ -184,23 +190,14 @@ void FullScanEngine::advanceTo(Round stop) {
             sim.failures_.dropsTransmission()) {
           // Energy spent, nothing on air.
           ++result.droppedTransmissions;
-          sim.trace_.record(TraceEvent{TraceEventType::kDroppedTransmit, r, v,
-                                       kInvalidNode, actions_[v].channel,
-                                       actions_[v].message.kind});
-          if (frFault_ && frSampled)
-            frFault_->record(frEvent(obs::FrType::kDroppedTransmit, r, v, 0,
-                                     actions_[v].channel,
-                                     frKind(actions_[v].message.kind)));
+          recordRadio(sim.trace_, frFault_, frSampled,
+                      txEvent(obs::FrType::kDroppedTransmit, r, v,
+                              actions_[v]));
           actions_[v] = Action::sleep();
           continue;
         }
-        sim.trace_.record(TraceEvent{TraceEventType::kTransmit, r, v,
-                                     kInvalidNode, actions_[v].channel,
-                                     actions_[v].message.kind});
-        if (frRadio_ && frSampled)
-          frRadio_->record(frEvent(obs::FrType::kTransmit, r, v, 0,
-                                   actions_[v].channel,
-                                   frKind(actions_[v].message.kind)));
+        recordRadio(sim.trace_, frRadio_, frSampled,
+                    txEvent(obs::FrType::kTransmit, r, v, actions_[v]));
       } else if (actions_[v].type == Action::Type::kListen) {
         sim.energy_.recordListen(v);
       }
@@ -212,14 +209,10 @@ void FullScanEngine::advanceTo(Round stop) {
     result.totalDeliveries += outcome.deliveries.size();
     result.totalCollisions += outcome.collisions();
 
-    for (const auto& site : outcome.collisionSites) {
-      sim.trace_.record(TraceEvent{TraceEventType::kCollision, r,
-                                   site.listener, kInvalidNode, site.channel,
-                                   MsgKind::kData});
-      if (frColl_ && frSampled)
-        frColl_->record(frEvent(obs::FrType::kCollision, r, site.listener, 0,
-                                site.channel));
-    }
+    for (const auto& site : outcome.collisionSites)
+      recordRadio(sim.trace_, frColl_, frSampled,
+                  frEvent(obs::FrType::kCollision, r, site.listener, 0,
+                          site.channel));
 
     // Phase 3: deliver.
     for (const auto& d : outcome.deliveries) {
@@ -231,11 +224,9 @@ void FullScanEngine::advanceTo(Round stop) {
       }
       sim.energy_.recordReceive(d.receiver);
       const Message& m = actions_[d.transmitter].message;
-      sim.trace_.record(TraceEvent{TraceEventType::kReceive, r, d.receiver,
-                                   d.transmitter, d.channel, m.kind});
-      if (frRadio_ && frSampled)
-        frRadio_->record(frEvent(obs::FrType::kDelivery, r, d.receiver,
-                                 d.transmitter, d.channel, frKind(m.kind)));
+      recordRadio(sim.trace_, frRadio_, frSampled,
+                  frEvent(obs::FrType::kDelivery, r, d.receiver,
+                          d.transmitter, d.channel, frKind(m.kind)));
       sim.nodeOnReceive(d.receiver, m, r, d.channel);
     }
 
@@ -435,13 +426,9 @@ void ActiveSetEngine::advanceTo(Round stop) {
         if (sim.failures_.isJammed(v, r)) {
           // Energy spent, frame smothered by the jammer.
           ++result.jammedLosses;
-          sim.trace_.record(TraceEvent{TraceEventType::kJammedTransmit, r, v,
-                                       kInvalidNode, actions[v].channel,
-                                       actions[v].message.kind});
-          if (frFault_ && frSampled)
-            frFault_->record(frEvent(obs::FrType::kJammedTransmit, r, v, 0,
-                                     actions[v].channel,
-                                     frKind(actions[v].message.kind)));
+          recordRadio(sim.trace_, frFault_, frSampled,
+                      txEvent(obs::FrType::kJammedTransmit, r, v,
+                              actions[v]));
           actions[v] = Action::sleep();
           continue;
         }
@@ -449,23 +436,14 @@ void ActiveSetEngine::advanceTo(Round stop) {
             sim.failures_.dropsTransmission()) {
           // Energy spent, nothing on air.
           ++result.droppedTransmissions;
-          sim.trace_.record(TraceEvent{TraceEventType::kDroppedTransmit, r, v,
-                                       kInvalidNode, actions[v].channel,
-                                       actions[v].message.kind});
-          if (frFault_ && frSampled)
-            frFault_->record(frEvent(obs::FrType::kDroppedTransmit, r, v, 0,
-                                     actions[v].channel,
-                                     frKind(actions[v].message.kind)));
+          recordRadio(sim.trace_, frFault_, frSampled,
+                      txEvent(obs::FrType::kDroppedTransmit, r, v,
+                              actions[v]));
           actions[v] = Action::sleep();
           continue;
         }
-        sim.trace_.record(TraceEvent{TraceEventType::kTransmit, r, v,
-                                     kInvalidNode, actions[v].channel,
-                                     actions[v].message.kind});
-        if (frRadio_ && frSampled)
-          frRadio_->record(frEvent(obs::FrType::kTransmit, r, v, 0,
-                                   actions[v].channel,
-                                   frKind(actions[v].message.kind)));
+        recordRadio(sim.trace_, frRadio_, frSampled,
+                    txEvent(obs::FrType::kTransmit, r, v, actions[v]));
         transmitters.push_back(v);
       } else if (actions[v].type == Action::Type::kListen) {
         sim.energy_.recordListen(v);
@@ -486,14 +464,10 @@ void ActiveSetEngine::advanceTo(Round stop) {
     result.totalDeliveries += outcome.deliveries.size();
     result.totalCollisions += outcome.collisions();
 
-    for (const auto& site : outcome.collisionSites) {
-      sim.trace_.record(TraceEvent{TraceEventType::kCollision, r,
-                                   site.listener, kInvalidNode, site.channel,
-                                   MsgKind::kData});
-      if (frColl_ && frSampled)
-        frColl_->record(frEvent(obs::FrType::kCollision, r, site.listener, 0,
-                                site.channel));
-    }
+    for (const auto& site : outcome.collisionSites)
+      recordRadio(sim.trace_, frColl_, frSampled,
+                  frEvent(obs::FrType::kCollision, r, site.listener, 0,
+                          site.channel));
 
     // Phase 3: deliver. Receivers are always listeners, hence active.
     std::uint32_t roundDeliveries = 0;
@@ -506,11 +480,9 @@ void ActiveSetEngine::advanceTo(Round stop) {
       }
       sim.energy_.recordReceive(d.receiver);
       const Message& m = actions[d.transmitter].message;
-      sim.trace_.record(TraceEvent{TraceEventType::kReceive, r, d.receiver,
-                                   d.transmitter, d.channel, m.kind});
-      if (frRadio_ && frSampled)
-        frRadio_->record(frEvent(obs::FrType::kDelivery, r, d.receiver,
-                                 d.transmitter, d.channel, frKind(m.kind)));
+      recordRadio(sim.trace_, frRadio_, frSampled,
+                  frEvent(obs::FrType::kDelivery, r, d.receiver,
+                          d.transmitter, d.channel, frKind(m.kind)));
       ++roundDeliveries;
       sim.nodeOnReceive(d.receiver, m, r, d.channel);
     }

@@ -8,10 +8,12 @@
 // dropped transmissions consume energy but never reach the air.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "obs/flight.hpp"
 #include "radio/channel.hpp"
 #include "radio/energy.hpp"
 #include "radio/failure.hpp"
@@ -33,9 +35,19 @@ enum class SimScheduling {
   kFullScan,
 };
 
+/// Largest channel count k a run accepts. Every input boundary (job
+/// lines, CLI flags) and RadioSimulator itself reject k outside
+/// [1, kMaxChannels], so every channel index fits the 8-bit channel
+/// field of the trace record.
+inline constexpr Channel kMaxChannels = 256;
+static_assert(kMaxChannels - 1 ==
+                  std::numeric_limits<decltype(obs::FrEvent::channel)>::max(),
+              "kMaxChannels must match FrEvent::channel's width");
+
 /// Static configuration of one simulation run.
 struct SimConfig {
-  /// Number of radio channels k (paper: 1 unless the k-channel variant).
+  /// Number of radio channels k, in [1, kMaxChannels] (paper: 1 unless
+  /// the k-channel variant).
   Channel channelCount = 1;
   /// Hard stop; a protocol bug cannot hang a test or bench.
   Round maxRounds = 1'000'000;

@@ -1,50 +1,10 @@
 #include "radio/trace.hpp"
 
-#include <ostream>
-#include <sstream>
-
-#include "obs/json.hpp"
+#include "obs/flight_io.hpp"
 
 namespace dsn {
 
-namespace {
-
-const char* typeName(TraceEventType t) {
-  switch (t) {
-    case TraceEventType::kTransmit:
-      return "transmit";
-    case TraceEventType::kReceive:
-      return "receive";
-    case TraceEventType::kCollision:
-      return "collision";
-    case TraceEventType::kNodeDeath:
-      return "node_death";
-    case TraceEventType::kDroppedTransmit:
-      return "dropped_transmit";
-    case TraceEventType::kJammedTransmit:
-      return "jammed_transmit";
-  }
-  return "?";
-}
-
-const char* kindName(MsgKind k) {
-  switch (k) {
-    case MsgKind::kData:
-      return "data";
-    case MsgKind::kToken:
-      return "token";
-    case MsgKind::kControl:
-      return "control";
-    case MsgKind::kNack:
-      return "nack";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void Trace::record(const TraceEvent& e) {
-  if (!enabled()) return;
+void Trace::store(const obs::FrEvent& e) {
   if (events_.size() >= capacity_) {
     ++dropped_;
     return;
@@ -52,64 +12,15 @@ void Trace::record(const TraceEvent& e) {
   events_.push_back(e);
 }
 
-std::size_t Trace::countOf(TraceEventType t) const {
+std::size_t Trace::countOf(obs::FrType t) const {
   std::size_t n = 0;
   for (const auto& e : events_)
-    if (e.type == t) ++n;
+    if (e.type == static_cast<std::uint8_t>(t)) ++n;
   return n;
 }
 
-std::string Trace::describe(const TraceEvent& e) {
-  std::ostringstream os;
-  os << "r" << e.round << " ";
-  switch (e.type) {
-    case TraceEventType::kTransmit:
-      os << "TX   node=" << e.node << " ch=" << e.channel;
-      break;
-    case TraceEventType::kReceive:
-      os << "RX   node=" << e.node << " from=" << e.peer
-         << " ch=" << e.channel;
-      break;
-    case TraceEventType::kCollision:
-      os << "COLL node=" << e.node << " ch=" << e.channel;
-      break;
-    case TraceEventType::kNodeDeath:
-      os << "DIE  node=" << e.node;
-      break;
-    case TraceEventType::kDroppedTransmit:
-      os << "DROP node=" << e.node << " ch=" << e.channel;
-      break;
-    case TraceEventType::kJammedTransmit:
-      os << "JAM  node=" << e.node << " ch=" << e.channel;
-      break;
-  }
-  return os.str();
-}
-
-std::string traceEventJson(const TraceEvent& e) {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.kv("type", typeName(e.type));
-  w.kv("round", static_cast<std::int64_t>(e.round));
-  w.kv("node", static_cast<std::uint64_t>(e.node));
-  if (e.peer == kInvalidNode) {
-    w.key("peer").null();
-  } else {
-    w.kv("peer", static_cast<std::uint64_t>(e.peer));
-  }
-  w.kv("channel", static_cast<std::uint64_t>(e.channel));
-  w.kv("kind", kindName(e.msgKind));
-  w.endObject();
-  return w.str();
-}
-
-void writeTraceJsonl(std::ostream& os,
-                     const std::vector<TraceEvent>& events) {
-  for (const auto& e : events) os << traceEventJson(e) << '\n';
-}
-
 void Trace::writeJsonl(std::ostream& os) const {
-  writeTraceJsonl(os, events_);
+  obs::writeFrEventsJsonl(os, events_);
 }
 
 }  // namespace dsn

@@ -1,39 +1,29 @@
-// Optional per-round event trace.
+// Optional per-run radio event trace.
 //
 // Tests assert on traces ("no collision ever happened", "node X slept
-// after round Y"); examples print them to show protocol behaviour. The
-// trace is off by default and bounded so benches are unaffected.
+// after round Y"); goldens, the trace-axiom oracle, serve records and
+// `wsn_sim --trace-out` consume them. The record is the flight
+// recorder's 16-byte obs::FrEvent: the simulator builds one per radio
+// event and offers it to both this store and the sampled ring
+// (DESIGN.md §13). The trace is off by default and bounded, so benches
+// are unaffected.
+//
+// Unlike the ring, a Trace keeps the first `capacity` events of a run,
+// unsampled, and holds only the five radio types the simulator records
+// here (transmit, delivery, collision, dropped and jammed transmits; no
+// deaths, round or sched events). Rounds narrow to 32 bits and channels
+// to 8, the ring's field widths (SimConfig bounds k by kMaxChannels).
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
-#include "radio/message.hpp"
-#include "util/types.hpp"
+#include "obs/flight.hpp"
 
 namespace dsn {
 
-enum class TraceEventType : std::uint8_t {
-  kTransmit,
-  kReceive,
-  kCollision,
-  kNodeDeath,
-  kDroppedTransmit,
-  kJammedTransmit,
-};
-
-struct TraceEvent {
-  TraceEventType type{};
-  Round round = 0;
-  NodeId node = kInvalidNode;  ///< acting node (receiver for kReceive)
-  NodeId peer = kInvalidNode;  ///< transmitter for kReceive, else unused
-  Channel channel = 0;
-  MsgKind msgKind = MsgKind::kData;
-};
-
-/// Bounded event recorder.
+/// Bounded keep-first event store.
 class Trace {
  public:
   /// `capacity` caps stored events; further events are counted but not
@@ -42,35 +32,28 @@ class Trace {
 
   bool enabled() const { return capacity_ > 0; }
 
-  void record(const TraceEvent& e);
+  /// Inline so that a disabled trace costs the simulator one compare
+  /// per radio event.
+  void record(const obs::FrEvent& e) {
+    if (capacity_ != 0) store(e);
+  }
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  const std::vector<obs::FrEvent>& events() const { return events_; }
   std::size_t droppedEvents() const { return dropped_; }
 
-  std::size_t countOf(TraceEventType t) const;
+  std::size_t countOf(obs::FrType t) const;
 
-  /// Human-readable one-line rendering of an event.
-  static std::string describe(const TraceEvent& e);
-
-  /// Writes every stored event as JSON-lines (one object per line; see
-  /// traceEventJson for the schema). Dropped events are not replayable,
-  /// so callers should also persist droppedEvents() when it matters.
+  /// Writes every stored event as JSON-lines (obs::appendFrEventJson's
+  /// radio schema). Dropped events are not replayable, so callers should
+  /// also persist droppedEvents() when it matters.
   void writeJsonl(std::ostream& os) const;
 
  private:
+  void store(const obs::FrEvent& e);
+
   std::size_t capacity_;
-  std::vector<TraceEvent> events_;
+  std::vector<obs::FrEvent> events_;
   std::size_t dropped_ = 0;
 };
-
-/// One event as a single-line JSON object (no trailing newline):
-///   {"type":"transmit","round":3,"node":7,"peer":null,
-///    "channel":0,"kind":"data"}
-/// `peer` is null except for receive events.
-std::string traceEventJson(const TraceEvent& e);
-
-/// JSONL dump of an externally collected event stream (scenario runs
-/// aggregate events across many simulator instances).
-void writeTraceJsonl(std::ostream& os, const std::vector<TraceEvent>& events);
 
 }  // namespace dsn

@@ -13,10 +13,10 @@
 
 #include "exec/thread_pool.hpp"
 #include "obs/export.hpp"
+#include "obs/flight_io.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
-#include "radio/trace.hpp"
 #include "util/error.hpp"
 
 namespace dsn::serve {
@@ -218,11 +218,11 @@ void appendMetrics(std::string& out, const obs::MetricsRegistry& reg) {
   out += "}}";
 }
 
-void appendTrace(std::string& out, const std::vector<TraceEvent>& events) {
+void appendTrace(std::string& out, const std::vector<obs::FrEvent>& events) {
   out += "\"trace\":[";
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (i > 0) out += ',';
-    out += traceEventJson(events[i]);
+    obs::appendFrEventJson(out, events[i]);
   }
   out += ']';
 }

@@ -4,12 +4,14 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "serve/json_value.hpp"
+#include "obs/json_value.hpp"
 #include "util/error.hpp"
 
 namespace dsn::serve {
 
 namespace {
+
+using obs::JsonValue;
 
 const char* deployWord(DeploymentKind k) {
   switch (k) {
@@ -134,7 +136,7 @@ ServeJob parseJobLine(const std::string& line, std::size_t index,
   job.index = index;
   job.id = static_cast<std::uint64_t>(index);
   try {
-    const JsonValue doc = parseJson(line);
+    const JsonValue doc = obs::parseJson(line);
     if (doc.type != JsonValue::Type::kObject)
       throw std::runtime_error("job line is not a JSON object");
     const std::string schema = stringField(doc, "schema", "");
@@ -158,8 +160,10 @@ ServeJob parseJobLine(const std::string& line, std::size_t index,
     const std::string deploy = stringField(doc, "deploy", "attach");
     if (!parseDeployWord(deploy, job.deploy))
       fieldFail("deploy", "want attach|uniform|grid|line|star");
-    job.channels = static_cast<Channel>(uintField(doc, "channels", 1));
-    if (job.channels == 0) fieldFail("channels", "must be positive");
+    const std::uint64_t channels = uintField(doc, "channels", 1);
+    if (channels < 1 || channels > kMaxChannels)
+      fieldFail("channels", "must be in [1, 256]");
+    job.channels = static_cast<Channel>(channels);
     job.drop = numberField(doc, "drop", 0.0);
     if (job.drop < 0.0 || job.drop >= 1.0)
       fieldFail("drop", "must be in [0, 1)");

@@ -196,23 +196,27 @@ bool injectCffSlotCollision(CffPlan& plan, const ClusterNet& net) {
 std::vector<std::string> checkTraceConsistency(const Trace& trace,
                                                const Graph& g,
                                                Channel channelCount) {
+  using obs::FrType;
   std::vector<std::string> issues;
   if (trace.droppedEvents() > 0) return issues;  // partial view: skip
 
+  const auto hasType = [](const obs::FrEvent& e, FrType t) {
+    return e.type == static_cast<std::uint8_t>(t);
+  };
   // (round, transmitter) -> channel of the on-air transmission.
-  std::map<std::pair<Round, NodeId>, Channel> onAir;
-  for (const TraceEvent& e : trace.events()) {
-    if (e.type != TraceEventType::kTransmit) continue;
+  std::map<std::pair<std::uint32_t, NodeId>, Channel> onAir;
+  for (const obs::FrEvent& e : trace.events()) {
+    if (!hasType(e, FrType::kTransmit)) continue;
     if (e.channel >= channelCount) {
       std::ostringstream os;
       os << "transmit by " << e.node << " at round " << e.round
-         << " on out-of-range channel " << e.channel;
+         << " on out-of-range channel " << unsigned{e.channel};
       issues.push_back(os.str());
     }
     onAir[{e.round, e.node}] = e.channel;
   }
 
-  const auto neighborsOnAir = [&](NodeId v, Round r, Channel c) {
+  const auto neighborsOnAir = [&](NodeId v, std::uint32_t r, Channel c) {
     std::vector<NodeId> hits;
     for (NodeId u : g.neighbors(v)) {
       auto it = onAir.find({r, u});
@@ -221,8 +225,8 @@ std::vector<std::string> checkTraceConsistency(const Trace& trace,
     return hits;
   };
 
-  for (const TraceEvent& e : trace.events()) {
-    if (e.type == TraceEventType::kReceive) {
+  for (const obs::FrEvent& e : trace.events()) {
+    if (hasType(e, FrType::kDelivery)) {
       std::ostringstream os;
       if (onAir.count({e.round, e.node})) {
         os << "node " << e.node << " both transmitted and received at round "
@@ -233,22 +237,23 @@ std::vector<std::string> checkTraceConsistency(const Trace& trace,
       const auto hits = neighborsOnAir(e.node, e.round, e.channel);
       if (hits.size() != 1) {
         os << "receive at node " << e.node << " round " << e.round
-           << " channel " << e.channel << " backed by " << hits.size()
+           << " channel " << unsigned{e.channel} << " backed by "
+           << hits.size()
            << " on-air neighbor transmissions (need exactly 1)";
         issues.push_back(os.str());
-      } else if (hits.front() != e.peer) {
+      } else if (hits.front() != e.data) {
         os << "receive at node " << e.node << " round " << e.round
-           << " names transmitter " << e.peer << " but " << hits.front()
+           << " names transmitter " << e.data << " but " << hits.front()
            << " was on air";
         issues.push_back(os.str());
       }
-    } else if (e.type == TraceEventType::kCollision) {
+    } else if (hasType(e, FrType::kCollision)) {
       const auto hits = neighborsOnAir(e.node, e.round, e.channel);
       if (hits.size() < 2) {
         std::ostringstream os;
         os << "collision at node " << e.node << " round " << e.round
-           << " channel " << e.channel << " backed by only " << hits.size()
-           << " on-air neighbor transmissions (need >= 2)";
+           << " channel " << unsigned{e.channel} << " backed by only "
+           << hits.size() << " on-air neighbor transmissions (need >= 2)";
         issues.push_back(os.str());
       }
     }

@@ -20,7 +20,7 @@
 
 #include "core/scenario.hpp"
 #include "core/sensor_network.hpp"
-#include "radio/trace.hpp"
+#include "obs/flight_io.hpp"
 
 namespace {
 
@@ -48,7 +48,7 @@ std::string renderScenario(const std::vector<dsn::ScenarioEvent>& events) {
         "trace overflowed its capacity; the snapshot would be partial");
   }
   std::ostringstream os;
-  dsn::writeTraceJsonl(os, outcome.traceEvents);
+  dsn::obs::writeFrEventsJsonl(os, outcome.traceEvents);
   return os.str();
 }
 

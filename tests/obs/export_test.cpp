@@ -1,6 +1,6 @@
 // JSON writer correctness and metrics/timing export round-trip: emit a
-// document, re-parse it with the test-only parser, and compare against
-// the registry state.
+// document, re-parse it with obs::parseJson, and compare against the
+// registry state.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,14 +10,12 @@
 
 #include "obs/export.hpp"
 #include "obs/json.hpp"
+#include "obs/json_value.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
-#include "tests/obs/minijson.hpp"
 
 namespace dsn::obs {
 namespace {
-
-using testjson::Value;
 
 TEST(JsonWriterTest, EscapesSpecialCharacters) {
   EXPECT_EQ(jsonEscape("plain"), "plain");
@@ -26,7 +24,7 @@ TEST(JsonWriterTest, EscapesSpecialCharacters) {
   // Round-trip through the parser restores the original.
   JsonWriter w;
   w.beginObject().kv("s", "quote\" slash\\ ctl\n").endObject();
-  const Value doc = testjson::parse(w.str());
+  const JsonValue doc = parseJson(w.str());
   EXPECT_EQ(doc.at("s").str, "quote\" slash\\ ctl\n");
 }
 
@@ -43,12 +41,12 @@ TEST(JsonWriterTest, NestedContainersAndScalars) {
   w.endObject();
   EXPECT_EQ(w.depth(), 0u);
 
-  const Value doc = testjson::parse(w.str());
+  const JsonValue doc = parseJson(w.str());
   EXPECT_EQ(doc.at("int").number, -42.0);
   EXPECT_EQ(doc.at("uint").number, 7.0);
   EXPECT_EQ(doc.at("float").number, 2.5);
   EXPECT_TRUE(doc.at("flag").boolean);
-  EXPECT_EQ(doc.at("none").type, Value::Type::kNull);
+  EXPECT_EQ(doc.at("none").type, JsonValue::Type::kNull);
   ASSERT_EQ(doc.at("list").array.size(), 2u);
   EXPECT_EQ(doc.at("nested").at("x").number, 1.0);
 }
@@ -59,9 +57,9 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   w.kv("nan", std::nan(""));
   w.kv("inf", std::numeric_limits<double>::infinity());
   w.endObject();
-  const Value doc = testjson::parse(w.str());
-  EXPECT_EQ(doc.at("nan").type, Value::Type::kNull);
-  EXPECT_EQ(doc.at("inf").type, Value::Type::kNull);
+  const JsonValue doc = parseJson(w.str());
+  EXPECT_EQ(doc.at("nan").type, JsonValue::Type::kNull);
+  EXPECT_EQ(doc.at("inf").type, JsonValue::Type::kNull);
 }
 
 TEST(ExportTest, RegistryRoundTripsThroughJson) {
@@ -76,13 +74,13 @@ TEST(ExportTest, RegistryRoundTripsThroughJson) {
 
   JsonWriter w;
   writeRegistryJson(w, reg);
-  const Value doc = testjson::parse(w.str());
+  const JsonValue doc = parseJson(w.str());
 
   EXPECT_EQ(doc.at("counters").at("sim.transmissions").number, 17.0);
   EXPECT_EQ(doc.at("counters").at("sim.collisions").number, 3.0);
   EXPECT_EQ(doc.at("gauges").at("cluster.backbone_size").number, 55.0);
 
-  const Value& hist = doc.at("histograms").at("latency");
+  const JsonValue& hist = doc.at("histograms").at("latency");
   ASSERT_EQ(hist.at("bounds").array.size(), 3u);
   EXPECT_EQ(hist.at("bounds").array[2].number, 4.0);
   // counts has one extra overflow bucket and matches the observations:
@@ -110,8 +108,8 @@ TEST(ExportTest, PercentilesInHistogramJson) {
 
   JsonWriter w;
   writeRegistryJson(w, reg);
-  const Value doc = testjson::parse(w.str());
-  const Value& hist = doc.at("histograms").at("lat");
+  const JsonValue doc = parseJson(w.str());
+  const JsonValue& hist = doc.at("histograms").at("lat");
   EXPECT_DOUBLE_EQ(hist.at("p50").number, 1.0);
   EXPECT_DOUBLE_EQ(hist.at("p95").number, h.percentile(0.95));
   EXPECT_DOUBLE_EQ(hist.at("p99").number, h.percentile(0.99));
@@ -124,8 +122,8 @@ TEST(ExportTest, EmptyHistogramExportsZeroPercentiles) {
   reg.histogram("empty", {1.0, 2.0});
   JsonWriter w;
   writeRegistryJson(w, reg);
-  const Value doc = testjson::parse(w.str());
-  const Value& hist = doc.at("histograms").at("empty");
+  const JsonValue doc = parseJson(w.str());
+  const JsonValue& hist = doc.at("histograms").at("empty");
   EXPECT_DOUBLE_EQ(hist.at("p50").number, 0.0);
   EXPECT_DOUBLE_EQ(hist.at("p95").number, 0.0);
   EXPECT_DOUBLE_EQ(hist.at("p99").number, 0.0);
@@ -139,8 +137,8 @@ TEST(ExportTest, SingleBucketPercentilesClampToObservedRange) {
   h.observe(44.0);
   JsonWriter w;
   writeRegistryJson(w, reg);
-  const Value doc = testjson::parse(w.str());
-  const Value& hist = doc.at("histograms").at("one");
+  const JsonValue doc = parseJson(w.str());
+  const JsonValue& hist = doc.at("histograms").at("one");
   // Everything sits in bucket 0; interpolation inside [0, 100] must be
   // clamped to [min, max] = [42, 44] rather than inventing values.
   EXPECT_GE(hist.at("p50").number, 42.0);
@@ -158,8 +156,8 @@ TEST(ExportTest, MergedHistogramPercentilesCoverCombinedData) {
 
   JsonWriter w;
   writeRegistryJson(w, a);
-  const Value doc = testjson::parse(w.str());
-  const Value& hist = doc.at("histograms").at("m");
+  const JsonValue doc = parseJson(w.str());
+  const JsonValue& hist = doc.at("histograms").at("m");
   EXPECT_EQ(hist.at("count").number, 100.0);
   // Half the mass is at 2, half at 512: p50 stays low, p95/p99 land in
   // the upper mode.
@@ -175,8 +173,8 @@ TEST(ExportTest, OverflowBucketPercentileReportsMaxValue) {
   for (int i = 0; i < 99; ++i) h.observe(1000.0);  // all in overflow
   JsonWriter w;
   writeRegistryJson(w, reg);
-  const Value doc = testjson::parse(w.str());
-  const Value& hist = doc.at("histograms").at("ovf");
+  const JsonValue doc = parseJson(w.str());
+  const JsonValue& hist = doc.at("histograms").at("ovf");
   EXPECT_DOUBLE_EQ(hist.at("p95").number, 1000.0);
   EXPECT_DOUBLE_EQ(hist.at("p99").number, 1000.0);
 }
@@ -195,9 +193,9 @@ TEST(ExportTest, TimingTreeRoundTripsThroughJson) {
   globalTiming().reset();
   setEnabled(was);
 
-  const Value doc = testjson::parse(text);
+  const JsonValue doc = parseJson(text);
   ASSERT_EQ(doc.array.size(), 1u);
-  const Value& build = doc.array[0];
+  const JsonValue& build = doc.array[0];
   EXPECT_EQ(build.at("phase").str, "build");
   EXPECT_EQ(build.at("calls").number, 1.0);
   EXPECT_GE(build.at("ms").number, 0.0);
@@ -208,17 +206,17 @@ TEST(ExportTest, TimingTreeRoundTripsThroughJson) {
 TEST(ExportTest, MetricsDocumentHasSchemaHeader) {
   MetricsRegistry reg;
   reg.counter("events").increment();
-  const Value doc = testjson::parse(metricsDocumentJson(reg, globalTiming()));
+  const JsonValue doc = parseJson(metricsDocumentJson(reg, globalTiming()));
   EXPECT_EQ(doc.at("schema").str, "dsnet-metrics-v1");
   EXPECT_EQ(doc.at("metrics").at("counters").at("events").number, 1.0);
-  EXPECT_EQ(doc.at("timing").type, Value::Type::kArray);
+  EXPECT_EQ(doc.at("timing").type, JsonValue::Type::kArray);
 }
 
 TEST(ExportTest, EmptyRegistryStillEmitsAllSections) {
   MetricsRegistry reg;
   JsonWriter w;
   writeRegistryJson(w, reg);
-  const Value doc = testjson::parse(w.str());
+  const JsonValue doc = parseJson(w.str());
   EXPECT_TRUE(doc.at("counters").object.empty());
   EXPECT_TRUE(doc.at("gauges").object.empty());
   EXPECT_TRUE(doc.at("histograms").object.empty());

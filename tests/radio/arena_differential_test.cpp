@@ -26,16 +26,10 @@ ProtocolOptions withScheduling(ProtocolOptions opts, SimScheduling s) {
 void expectSameTrace(const Trace& a, const Trace& b) {
   ASSERT_EQ(a.events().size(), b.events().size());
   ASSERT_EQ(a.droppedEvents(), b.droppedEvents());
-  for (std::size_t i = 0; i < a.events().size(); ++i) {
-    const TraceEvent& x = a.events()[i];
-    const TraceEvent& y = b.events()[i];
-    EXPECT_EQ(x.type, y.type) << "event " << i;
-    EXPECT_EQ(x.round, y.round) << "event " << i;
-    EXPECT_EQ(x.node, y.node) << "event " << i;
-    EXPECT_EQ(x.peer, y.peer) << "event " << i;
-    EXPECT_EQ(x.channel, y.channel) << "event " << i;
-    EXPECT_EQ(x.msgKind, y.msgKind) << "event " << i;
-  }
+  for (std::size_t i = 0; i < a.events().size(); ++i)
+    EXPECT_TRUE(a.events()[i] == b.events()[i])
+        << "event " << i << ": " << obs::describeFrEvent(a.events()[i])
+        << " vs " << obs::describeFrEvent(b.events()[i]);
 }
 
 void expectSameRun(const BroadcastRun& a, const BroadcastRun& b) {

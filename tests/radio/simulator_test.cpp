@@ -166,9 +166,21 @@ TEST(SimulatorTest, TraceRecordsEvents) {
   sim.setProtocol(0, std::make_unique<OneShotTransmitter>(0, 0));
   sim.setProtocol(1, std::make_unique<ListenUntilReceive>());
   sim.run();
-  EXPECT_EQ(sim.trace().countOf(TraceEventType::kTransmit), 1u);
-  EXPECT_EQ(sim.trace().countOf(TraceEventType::kReceive), 1u);
-  EXPECT_EQ(sim.trace().countOf(TraceEventType::kCollision), 0u);
+  EXPECT_EQ(sim.trace().countOf(obs::FrType::kTransmit), 1u);
+  EXPECT_EQ(sim.trace().countOf(obs::FrType::kDelivery), 1u);
+  EXPECT_EQ(sim.trace().countOf(obs::FrType::kCollision), 0u);
+}
+
+TEST(SimulatorTest, ChannelCountMustFitTheTraceRecord) {
+  const Graph g = pair();
+  for (const Channel k : {Channel{0}, kMaxChannels + 1, Channel{4294967295u}}) {
+    SimConfig cfg;
+    cfg.channelCount = k;
+    EXPECT_THROW({ RadioSimulator sim(g, cfg); }, PreconditionError) << k;
+  }
+  SimConfig widest;
+  widest.channelCount = kMaxChannels;
+  EXPECT_NO_THROW({ RadioSimulator sim(g, widest); });
 }
 
 TEST(SimulatorTest, ProtocolAfterRunRejected) {
@@ -195,7 +207,7 @@ TEST(SimulatorTest, CollisionObservedInTrace) {
   SimResult r = sim.run();
   EXPECT_FALSE(r.completed);  // listener starves (hits maxRounds)...
   EXPECT_FALSE(lp->got_);
-  EXPECT_EQ(sim.trace().countOf(TraceEventType::kCollision), 1u);
+  EXPECT_EQ(sim.trace().countOf(obs::FrType::kCollision), 1u);
 }
 
 }  // namespace

@@ -8,62 +8,34 @@
 namespace dsn {
 namespace {
 
+using obs::FrType;
+using obs::makeFrEvent;
+
 TEST(TraceTest, DisabledByDefault) {
   Trace t;
   EXPECT_FALSE(t.enabled());
-  t.record(TraceEvent{TraceEventType::kTransmit, 0, 1, kInvalidNode, 0,
-                      MsgKind::kData});
+  t.record(makeFrEvent(FrType::kTransmit, 0, 1));
   EXPECT_TRUE(t.events().empty());
   EXPECT_EQ(t.droppedEvents(), 0u);
 }
 
 TEST(TraceTest, RecordsUpToCapacity) {
   Trace t(3);
-  for (Round r = 0; r < 5; ++r)
-    t.record(TraceEvent{TraceEventType::kReceive, r, 1, 2, 0,
-                        MsgKind::kToken});
+  for (std::uint32_t r = 0; r < 5; ++r)
+    t.record(makeFrEvent(FrType::kDelivery, r, 1, 2, 0, 1));
   EXPECT_EQ(t.events().size(), 3u);
   EXPECT_EQ(t.droppedEvents(), 2u);
-  EXPECT_EQ(t.events()[2].round, 2);
+  EXPECT_EQ(t.events()[2].round, 2u);
 }
 
 TEST(TraceTest, CountOfFiltersByType) {
   Trace t(10);
-  t.record(TraceEvent{TraceEventType::kTransmit, 0, 1, kInvalidNode, 0,
-                      MsgKind::kData});
-  t.record(TraceEvent{TraceEventType::kCollision, 1, 2, kInvalidNode, 0,
-                      MsgKind::kData});
-  t.record(TraceEvent{TraceEventType::kTransmit, 2, 3, kInvalidNode, 0,
-                      MsgKind::kData});
-  EXPECT_EQ(t.countOf(TraceEventType::kTransmit), 2u);
-  EXPECT_EQ(t.countOf(TraceEventType::kCollision), 1u);
-  EXPECT_EQ(t.countOf(TraceEventType::kNodeDeath), 0u);
-}
-
-TEST(TraceTest, DescribeMentionsFields) {
-  const TraceEvent tx{TraceEventType::kTransmit, 7, 3, kInvalidNode, 1,
-                      MsgKind::kData};
-  const std::string s = Trace::describe(tx);
-  EXPECT_NE(s.find("r7"), std::string::npos);
-  EXPECT_NE(s.find("TX"), std::string::npos);
-  EXPECT_NE(s.find("node=3"), std::string::npos);
-  EXPECT_NE(s.find("ch=1"), std::string::npos);
-
-  const TraceEvent rx{TraceEventType::kReceive, 2, 4, 9, 0,
-                      MsgKind::kData};
-  EXPECT_NE(Trace::describe(rx).find("from=9"), std::string::npos);
-
-  const TraceEvent die{TraceEventType::kNodeDeath, 5, 6, kInvalidNode, 0,
-                       MsgKind::kData};
-  EXPECT_NE(Trace::describe(die).find("DIE"), std::string::npos);
-
-  const TraceEvent drop{TraceEventType::kDroppedTransmit, 5, 6,
-                        kInvalidNode, 0, MsgKind::kData};
-  EXPECT_NE(Trace::describe(drop).find("DROP"), std::string::npos);
-
-  const TraceEvent coll{TraceEventType::kCollision, 5, 6, kInvalidNode, 0,
-                        MsgKind::kData};
-  EXPECT_NE(Trace::describe(coll).find("COLL"), std::string::npos);
+  t.record(makeFrEvent(FrType::kTransmit, 0, 1));
+  t.record(makeFrEvent(FrType::kCollision, 1, 2));
+  t.record(makeFrEvent(FrType::kTransmit, 2, 3));
+  EXPECT_EQ(t.countOf(FrType::kTransmit), 2u);
+  EXPECT_EQ(t.countOf(FrType::kCollision), 1u);
+  EXPECT_EQ(t.countOf(FrType::kNodeDeath), 0u);
 }
 
 TEST(TraceTest, OverflowAccountingStaysConsistent) {
@@ -71,35 +43,29 @@ TEST(TraceTest, OverflowAccountingStaysConsistent) {
   // stored-event counts, droppedEvents() and countOf() mutually
   // consistent — dropped events are counted but never typed.
   constexpr std::size_t kCapacity = 8;
-  constexpr std::size_t kTotal = 100;
+  constexpr std::uint32_t kTotal = 100;
   Trace t(kCapacity);
-  for (std::size_t i = 0; i < kTotal; ++i) {
-    const auto type = i % 2 == 0 ? TraceEventType::kTransmit
-                                 : TraceEventType::kReceive;
-    t.record(TraceEvent{type, static_cast<Round>(i),
-                        static_cast<NodeId>(i), kInvalidNode, 0,
-                        MsgKind::kData});
+  for (std::uint32_t i = 0; i < kTotal; ++i) {
+    const auto type = i % 2 == 0 ? FrType::kTransmit : FrType::kDelivery;
+    t.record(makeFrEvent(type, i, i));
   }
   EXPECT_EQ(t.events().size(), kCapacity);
   EXPECT_EQ(t.droppedEvents(), kTotal - kCapacity);
   // Only stored events are visible to countOf; the two types alternate,
   // so the stored prefix splits evenly.
-  EXPECT_EQ(t.countOf(TraceEventType::kTransmit) +
-                t.countOf(TraceEventType::kReceive),
+  EXPECT_EQ(t.countOf(FrType::kTransmit) + t.countOf(FrType::kDelivery),
             t.events().size());
-  EXPECT_EQ(t.countOf(TraceEventType::kTransmit), kCapacity / 2);
-  EXPECT_EQ(t.countOf(TraceEventType::kCollision), 0u);
+  EXPECT_EQ(t.countOf(FrType::kTransmit), kCapacity / 2);
+  EXPECT_EQ(t.countOf(FrType::kCollision), 0u);
   // Overflow never corrupts the stored prefix.
   for (std::size_t i = 0; i < kCapacity; ++i)
-    EXPECT_EQ(t.events()[i].round, static_cast<Round>(i));
+    EXPECT_EQ(t.events()[i].round, i);
 }
 
 TEST(TraceTest, JsonlOneValidObjectPerLine) {
   Trace t(4);
-  t.record(TraceEvent{TraceEventType::kTransmit, 0, 1, kInvalidNode, 0,
-                      MsgKind::kData});
-  t.record(TraceEvent{TraceEventType::kReceive, 1, 2, 1, 0,
-                      MsgKind::kToken});
+  t.record(makeFrEvent(FrType::kTransmit, 0, 1));
+  t.record(makeFrEvent(FrType::kDelivery, 1, 2, 1, 0, 1));
   std::ostringstream os;
   t.writeJsonl(os);
   const std::string out = os.str();
@@ -117,6 +83,7 @@ TEST(TraceTest, JsonlOneValidObjectPerLine) {
   }
   EXPECT_EQ(n, 2u);
   EXPECT_NE(out.find("\"transmit\""), std::string::npos);
+  EXPECT_NE(out.find("\"receive\""), std::string::npos);
   EXPECT_NE(out.find("\"peer\":null"), std::string::npos);
   EXPECT_NE(out.find("\"peer\":1"), std::string::npos);
   EXPECT_NE(out.find("\"kind\":\"token\""), std::string::npos);

@@ -9,10 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_value.hpp"
 #include "obs/metrics.hpp"
 #include "serve/engine.hpp"
 #include "serve/job.hpp"
-#include "serve/json_value.hpp"
 
 namespace dsn::serve {
 namespace {
@@ -156,7 +156,7 @@ TEST_F(ServeEngineTest, ServeStreamEmitsInOrderWithInPlaceErrors) {
   ASSERT_EQ(lines.size(), 4u);
 
   // Every line is valid JSON; order follows the stream.
-  for (const auto& l : lines) EXPECT_NO_THROW(parseJson(l)) << l;
+  for (const auto& l : lines) EXPECT_NO_THROW(obs::parseJson(l)) << l;
   EXPECT_NE(lines[0].find("\"schema\":\"dsnet-run-v1\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"job\":3"), std::string::npos);
   EXPECT_NE(lines[1].find("\"schema\":\"dsnet-error-v1\""),
@@ -166,6 +166,37 @@ TEST_F(ServeEngineTest, ServeStreamEmitsInOrderWithInPlaceErrors) {
   EXPECT_NE(lines[3].find("\"schema\":\"dsnet-error-v1\""),
             std::string::npos);
   EXPECT_NE(lines[3].find("strictly increasing"), std::string::npos);
+}
+
+TEST_F(ServeEngineTest, TraceJobRecordsCarryTheEventArray) {
+  const std::vector<ServeJob> jobs{parseJobLine(
+      R"({"schema":"dsnet-job-v1","nodes":60,"seed":2007,"drop":0.1,)"
+      R"("trace_cap":4096,"scenario":"broadcast random icff\ngather"})",
+      0)};
+  ASSERT_FALSE(jobs[0].failed()) << jobs[0].parseError;
+  const auto records = serveAll(jobs, 1, 8);
+  ASSERT_EQ(records.size(), 1u);
+
+  const obs::JsonValue doc = obs::parseJson(records[0]);
+  const obs::JsonValue& trace = doc.at("trace");
+  ASSERT_EQ(trace.type, obs::JsonValue::Type::kArray);
+  ASSERT_FALSE(trace.array.empty());
+  EXPECT_EQ(static_cast<double>(trace.array.size()),
+            doc.at("outcome").at("trace_events").number);
+  EXPECT_EQ(doc.at("outcome").at("trace_dropped").number, 0.0);
+  const std::set<std::string> radioTypes{
+      "transmit", "receive", "collision", "dropped_transmit",
+      "jammed_transmit"};
+  for (const obs::JsonValue& e : trace.array) {
+    ASSERT_EQ(e.type, obs::JsonValue::Type::kObject);
+    EXPECT_TRUE(radioTypes.count(e.at("type").str)) << e.at("type").str;
+    EXPECT_EQ(e.at("round").type, obs::JsonValue::Type::kNumber);
+    EXPECT_EQ(e.at("node").type, obs::JsonValue::Type::kNumber);
+    EXPECT_EQ(e.at("peer").type, e.at("type").str == "receive"
+                                     ? obs::JsonValue::Type::kNumber
+                                     : obs::JsonValue::Type::kNull);
+    EXPECT_EQ(e.at("kind").type, obs::JsonValue::Type::kString);
+  }
 }
 
 TEST_F(ServeEngineTest, RecordsOmitTimingUnlessRequested) {

@@ -87,12 +87,39 @@ TEST(ServeJob, MalformedLinesReportInsteadOfThrow) {
       R"({"schema":"dsnet-job-v1","nodes":10,"deploy":"ring","scenario":""})",
       R"({"schema":"dsnet-job-v1","nodes":10,"protocol":"x","scenario":""})",
       R"({"schema":"dsnet-job-v1","nodes":10,"scenario":"frobnicate"})",
+      // Number tokens strtod reads only a prefix of (3, then 0).
+      R"({"schema":"dsnet-job-v1","seed":3-9e+,"nodes":10,"scenario":""})",
+      R"({"schema":"dsnet-job-v1","seed":-,"nodes":10,"scenario":""})",
+      // Channel counts outside [1, kMaxChannels], including ones that
+      // wrap to 0 or 255 in a 32-bit or 8-bit field.
+      R"({"schema":"dsnet-job-v1","nodes":10,"channels":257,"scenario":""})",
+      R"({"schema":"dsnet-job-v1","nodes":10,"channels":4294967295,)"
+      R"("scenario":""})",
+      R"({"schema":"dsnet-job-v1","nodes":10,"channels":4294967296,)"
+      R"("scenario":""})",
   };
   for (const char* line : kBad) {
     const ServeJob job = parseJobLine(line, 7);
     EXPECT_TRUE(job.failed()) << "accepted: " << line;
     EXPECT_EQ(job.index, 7u);
+    const std::string text = line;
+    if (text.find("\"channels\"") != std::string::npos) {
+      EXPECT_NE(job.parseError.find("channels"), std::string::npos)
+          << job.parseError;
+    }
+    if (text.find("\"seed\"") != std::string::npos) {
+      EXPECT_NE(job.parseError.find("bad number at offset"),
+                std::string::npos)
+          << job.parseError;
+    }
   }
+  // The channel bound is inclusive.
+  const ServeJob widest = parseJobLine(
+      R"({"schema":"dsnet-job-v1","nodes":10,"channels":256,)"
+      R"("scenario":"validate"})",
+      7);
+  ASSERT_FALSE(widest.failed()) << widest.parseError;
+  EXPECT_EQ(widest.channels, kMaxChannels);
 }
 
 TEST(ServeJob, IdsMustStrictlyIncrease) {

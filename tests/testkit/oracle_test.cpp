@@ -62,14 +62,11 @@ TEST(CffSwarmTest, SwarmRunMatchesPerObjectPlanRunExactly) {
     EXPECT_EQ(swarm.listenRounds, objects.listenRounds);
     EXPECT_EQ(swarm.transmitRounds, objects.transmitRounds);
     ASSERT_EQ(swarm.trace.events().size(), objects.trace.events().size());
-    for (std::size_t i = 0; i < swarm.trace.events().size(); ++i) {
-      const TraceEvent& x = swarm.trace.events()[i];
-      const TraceEvent& y = objects.trace.events()[i];
-      EXPECT_EQ(x.type, y.type) << "event " << i;
-      EXPECT_EQ(x.round, y.round) << "event " << i;
-      EXPECT_EQ(x.node, y.node) << "event " << i;
-      EXPECT_EQ(x.peer, y.peer) << "event " << i;
-    }
+    for (std::size_t i = 0; i < swarm.trace.events().size(); ++i)
+      EXPECT_TRUE(swarm.trace.events()[i] == objects.trace.events()[i])
+          << "event " << i << ": "
+          << obs::describeFrEvent(swarm.trace.events()[i]) << " vs "
+          << obs::describeFrEvent(objects.trace.events()[i]);
   }
 }
 
@@ -188,7 +185,7 @@ TEST(TraceConsistencyTest, RejectsUnjustifiedReceive) {
   SensorNetwork net = makeNet(30, 19);
   Trace doctored(16);
   // A receive with no matching on-air transmission anywhere.
-  doctored.record({TraceEventType::kReceive, 2, 0, 1, 0, MsgKind::kData});
+  doctored.record(obs::makeFrEvent(obs::FrType::kDelivery, 2, 0, 1));
   const auto issues = checkTraceConsistency(doctored, net.graph(), 1);
   EXPECT_FALSE(issues.empty());
 }
@@ -201,10 +198,8 @@ TEST(TraceConsistencyTest, RejectsPhantomCollision) {
   Trace doctored(16);
   // One transmitter on the air, yet a collision is claimed at a
   // neighbor: the axioms require at least two.
-  doctored.record({TraceEventType::kTransmit, 4, talker, kInvalidNode, 0,
-                   MsgKind::kData});
-  doctored.record({TraceEventType::kCollision, 4, listener, kInvalidNode, 0,
-                   MsgKind::kData});
+  doctored.record(obs::makeFrEvent(obs::FrType::kTransmit, 4, talker));
+  doctored.record(obs::makeFrEvent(obs::FrType::kCollision, 4, listener));
   const auto issues = checkTraceConsistency(doctored, net.graph(), 1);
   EXPECT_FALSE(issues.empty());
 }
@@ -212,8 +207,8 @@ TEST(TraceConsistencyTest, RejectsPhantomCollision) {
 TEST(TraceConsistencyTest, SkipsOverflowedTraces) {
   SensorNetwork net = makeNet(30, 19);
   Trace tiny(1);
-  tiny.record({TraceEventType::kReceive, 2, 0, 1, 0, MsgKind::kData});
-  tiny.record({TraceEventType::kReceive, 3, 0, 1, 0, MsgKind::kData});
+  tiny.record(obs::makeFrEvent(obs::FrType::kDelivery, 2, 0, 1));
+  tiny.record(obs::makeFrEvent(obs::FrType::kDelivery, 3, 0, 1));
   ASSERT_GT(tiny.droppedEvents(), 0u);
   // A partial view must not be judged at all.
   EXPECT_TRUE(checkTraceConsistency(tiny, net.graph(), 1).empty());

@@ -14,6 +14,9 @@
 //            [--channels K] [--inject-cff-bug] [--replay-seed S]
 //            [--json FILE] [--artifacts DIR] [--no-shrink] [--quiet]
 //
+// --channels K (1 <= K <= 256, kMaxChannels) sets every episode's radio
+// channel count.
+//
 // The campaign is deterministically parallel: results (including the
 // campaign digest) are bit-identical at every --jobs count.
 // --verify-jobs J reruns the whole campaign at a second worker count and
@@ -38,6 +41,7 @@
 
 #include "obs/flight.hpp"
 #include "obs/flight_io.hpp"
+#include "radio/simulator.hpp"
 #include "testkit/fuzz.hpp"
 
 namespace {
@@ -111,8 +115,11 @@ bool parseArgs(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--channels") {
       const char* v = next();
       if (!v) return false;
-      opt.fuzz.episode.channels = static_cast<dsn::Channel>(std::atoi(v));
-      if (opt.fuzz.episode.channels < 1) return false;
+      char* end = nullptr;
+      const long long k = std::strtoll(v, &end, 10);
+      if (end == v || *end != '\0' || k < 1 || k > dsn::kMaxChannels)
+        return false;
+      opt.fuzz.episode.channels = static_cast<dsn::Channel>(k);
     } else if (arg == "--inject-cff-bug") {
       opt.fuzz.episode.injectCffSlotBug = true;
     } else if (arg == "--replay-seed") {

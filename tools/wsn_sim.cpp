@@ -22,6 +22,9 @@
 // `rbroadcast` events keep their scripted slotted scheme and `arena`
 // events still race everyone (DESIGN.md §16).
 //
+// --channels K sets the radio channel count, 1 <= K <= 256
+// (kMaxChannels).
+//
 // --deploy picks the position generator (attach|uniform|grid|line|star;
 // default attach). Million-node runs want grid: incremental-attach
 // densifies quadratically, the grid deployment is linear.
@@ -73,7 +76,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/timer.hpp"
-#include "radio/trace.hpp"
+#include "radio/simulator.hpp"
 
 namespace {
 
@@ -144,7 +147,11 @@ bool parseArgs(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--channels") {
       const char* v = next();
       if (!v) return false;
-      opt.channels = static_cast<dsn::Channel>(std::atoi(v));
+      char* end = nullptr;
+      const long long k = std::strtoll(v, &end, 10);
+      if (end == v || *end != '\0' || k < 1 || k > dsn::kMaxChannels)
+        return false;
+      opt.channels = static_cast<dsn::Channel>(k);
     } else if (arg == "--deploy") {
       const char* v = next();
       if (!v) return false;
@@ -514,7 +521,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write trace file: " << opt.traceOutPath << "\n";
       return 2;
     }
-    writeTraceJsonl(tr, outcome.traceEvents);
+    obs::writeFrEventsJsonl(tr, outcome.traceEvents);
     if (!opt.quiet)
       std::cout << "[trace] " << outcome.traceEvents.size()
                 << " events written to " << opt.traceOutPath << " ("

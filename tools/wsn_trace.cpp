@@ -13,9 +13,10 @@
 // hotspots / retransmitters. --json emits the same data as a
 // dsnet-trace-summary-v1 document for schema validation in CI.
 //
-// jsonl maps the radio-level categories onto the existing JSONL trace
-// schema ({"type","round","node","peer","channel","kind"}); non-radio
-// event types extend it with "data"/"aux" fields and a null kind.
+// jsonl renders every event with obs::appendFrEventJson, the renderer
+// behind wsn_sim --trace-out: radio events in the JSONL trace schema
+// ({"type","round","node","peer","channel","kind"}), other event types
+// extended with "data"/"aux" fields and a null kind.
 //
 // Exit status: 0 ok, 1 I/O or parse failure, 2 usage.
 #include <algorithm>
@@ -363,78 +364,6 @@ int withOutput(int argc, char** argv, int i,
   return writeTo(out) ? 0 : 1;
 }
 
-const char* jsonlType(FrType t) {
-  switch (t) {
-    case FrType::kTransmit:
-      return "transmit";
-    case FrType::kDelivery:
-      return "receive";
-    case FrType::kCollision:
-      return "collision";
-    case FrType::kNodeDeath:
-      return "node_death";
-    case FrType::kDroppedTransmit:
-      return "dropped_transmit";
-    case FrType::kJammedTransmit:
-      return "jammed_transmit";
-    default:
-      return nullptr;  // not a radio-schema event
-  }
-}
-
-const char* jsonlKind(std::uint16_t aux) {
-  switch (aux) {
-    case 0:
-      return "data";
-    case 1:
-      return "token";
-    case 2:
-      return "control";
-    case 3:
-      return "nack";
-    default:
-      return "?";
-  }
-}
-
-bool writeJsonl(std::ostream& os, const FrTraceFile& trace) {
-  for (const FrEvent& e : trace.events) {
-    const FrType t = static_cast<FrType>(e.type);
-    dsn::obs::JsonWriter w;
-    w.beginObject();
-    if (const char* mapped = jsonlType(t)) {
-      // Radio events reuse the existing trace schema verbatim.
-      w.kv("type", mapped);
-      w.kv("round", static_cast<std::uint64_t>(e.round));
-      w.kv("node", static_cast<std::uint64_t>(e.node));
-      if (t == FrType::kDelivery) {
-        w.kv("peer", static_cast<std::uint64_t>(e.data));
-      } else {
-        w.key("peer").null();
-      }
-      w.kv("channel", static_cast<std::uint64_t>(e.channel));
-      if (t == FrType::kCollision || t == FrType::kNodeDeath) {
-        w.kv("kind", "data");
-      } else {
-        w.kv("kind", jsonlKind(e.aux));
-      }
-    } else {
-      // Extended events: same keys plus raw data/aux, null kind.
-      w.kv("type", dsn::obs::frTypeName(t));
-      w.kv("round", static_cast<std::uint64_t>(e.round));
-      w.kv("node", static_cast<std::uint64_t>(e.node));
-      w.key("peer").null();
-      w.kv("channel", static_cast<std::uint64_t>(e.channel));
-      w.key("kind").null();
-      w.kv("data", static_cast<std::uint64_t>(e.data));
-      w.kv("aux", static_cast<std::uint64_t>(e.aux));
-    }
-    w.endObject();
-    os << w.str() << "\n";
-  }
-  return static_cast<bool>(os);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -456,7 +385,7 @@ int main(int argc, char** argv) {
     if (cmd == "jsonl") {
       const FrTraceFile trace = load(path);
       return withOutput(argc, argv, 3, [&](std::ostream& os) {
-        return writeJsonl(os, trace);
+        return dsn::obs::writeFrEventsJsonl(os, trace.events);
       });
     }
   } catch (const std::exception& ex) {
