@@ -106,6 +106,22 @@ TEST(DiscoveryTest, DeterministicGivenSeed) {
   EXPECT_EQ(a.discovered, b.discovered);
 }
 
+TEST(DiscoveryTest, HandshakeIsPinnedExactly) {
+  // One seeded handshake, pinned field for field: any change to the
+  // HELLO/reply/ACK cycle, the window growth or the stopping rule, or to
+  // the responders' slot draws shows up here.
+  Graph g = starGraph(12);
+  DiscoveryConfig cfg;
+  cfg.seed = 9;
+  const auto result = runNeighborDiscovery(g, 0, cfg);
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.rounds, 164);
+  EXPECT_EQ(result.transmissions, 62u);
+  EXPECT_EQ(result.collisions, 8u);
+  EXPECT_EQ(result.discovered,
+            (std::vector<NodeId>{5, 7, 10, 1, 6, 8, 9, 4, 11, 2, 12, 3}));
+}
+
 TEST(DiscoveryTest, InvalidConfigRejected) {
   Graph g(2);
   g.addEdge(0, 1);

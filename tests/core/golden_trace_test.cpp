@@ -1,17 +1,18 @@
-// Golden-trace snapshot test: the demo scenario's radio-event stream
-// and a seeded gossip broadcast's stream must stay byte-identical to
-// the committed golden JSONL files.
+// Golden-trace snapshot test: the demo scenario's radio-event stream,
+// a seeded gossip broadcast's stream and the flat rivals' arena stream
+// must stay byte-identical to the committed golden JSONL files.
 //
 // Any change to deployment, clustering, slot assignment, scheduling,
-// collision resolution — or, for the gossip golden, the rival's relay
-// coins and backoff draws — shows up here as a diff, which is the
-// point: it forces behaviour changes to be acknowledged. To accept new
-// goldens after an intentional change:
+// collision resolution — or, for the gossip and arena goldens, the
+// rivals' relay coins, backoff draws, suppression decisions and coding
+// coefficients — shows up here as a diff, which is the point: it forces
+// behaviour changes to be acknowledged. To accept new goldens after an
+// intentional change:
 //
 //   build/tests/golden_trace_test --update-golden
 //
-// and commit the rewritten tests/data/demo_trace.jsonl and
-// tests/data/gossip_trace.jsonl.
+// and commit the rewritten tests/data/demo_trace.jsonl,
+// tests/data/gossip_trace.jsonl and tests/data/arena_trace.jsonl.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -29,15 +30,20 @@ constexpr const char* kGoldenPath =
     DSN_SOURCE_DIR "/tests/data/demo_trace.jsonl";
 constexpr const char* kGossipGoldenPath =
     DSN_SOURCE_DIR "/tests/data/gossip_trace.jsonl";
+constexpr const char* kArenaGoldenPath =
+    DSN_SOURCE_DIR "/tests/data/arena_trace.jsonl";
 
-std::string renderScenario(const std::vector<dsn::ScenarioEvent>& events) {
+/// Per-operation trace capacity: each broadcast's trace is bounded
+/// separately, so this must cover the busiest single operation.
+std::string renderScenario(const std::vector<dsn::ScenarioEvent>& events,
+                           std::size_t traceCapacity = 16384) {
   dsn::NetworkConfig config;
   config.nodeCount = 60;  // smaller than the demo's 200 to keep it snappy
   config.seed = 2007;
 
   dsn::SensorNetwork net(config);
   dsn::ScenarioOptions options;
-  options.protocol.traceCapacity = 16384;
+  options.protocol.traceCapacity = traceCapacity;
   const dsn::ScenarioOutcome outcome = dsn::runScenario(net, events, options);
   if (!outcome.valid) {
     throw std::runtime_error("scenario run failed validation: " +
@@ -65,6 +71,21 @@ std::string renderGossipTrace() {
   // per-node RNG streams (relay coin + backoff draw order) in addition
   // to the radio layer the demo golden already covers.
   return renderScenario(dsn::parseScenario("broadcast 0 gossip\n"));
+}
+
+std::string renderArenaTrace() {
+  // The flat rivals from the root, clean and then under i.i.d. loss:
+  // pins every rival's relay decisions, suppression tests and RLNC
+  // coding draws, with and without dropped frames. RLNC's collision
+  // storm is the busiest operation, hence the larger capacity.
+  std::string script;
+  for (const char* faults : {"", "faults drop 0.1\n"}) {
+    script += faults;
+    for (const char* scheme : {"flood", "agossip", "counter", "distance",
+                               "rlnc"})
+      script += std::string("broadcast 0 ") + scheme + "\n";
+  }
+  return renderScenario(dsn::parseScenario(script), 1 << 16);
 }
 
 /// 1-based line number of the first byte difference, for a usable
@@ -133,6 +154,7 @@ int main(int argc, char** argv) {
   try {
     int rc = compareOrUpdate(renderDemoTrace(), kGoldenPath, update);
     rc |= compareOrUpdate(renderGossipTrace(), kGossipGoldenPath, update);
+    rc |= compareOrUpdate(renderArenaTrace(), kArenaGoldenPath, update);
     return rc;
   } catch (const std::exception& e) {
     std::cerr << "golden_trace_test: " << e.what() << "\n";
