@@ -14,58 +14,9 @@
 
 #include "broadcast/run_result.hpp"
 #include "broadcast/slotted_swarm.hpp"
-#include "broadcast/tdm.hpp"
 #include "cluster/cnet.hpp"
-#include "radio/protocol.hpp"
 
 namespace dsn {
-
-/// Per-node static schedule knowledge for Algorithm 1 (DESIGN.md §4(8)).
-struct CffNodeConfig {
-  NodeId self = kInvalidNode;
-  Depth depth = 0;
-  /// This node's u-slot (kNoSlot for leaves / silent nodes).
-  TimeSlot slot = kNoSlot;
-  /// Δ — the root's known largest u-slot; defines the window length.
-  TimeSlot window = 0;
-  Channel channels = 1;
-  /// Absolute round the depth-0 window opens (= depth of the source).
-  Round floodStart = 0;
-  /// Position on the source->root relay path (0 = source); -1 = not on
-  /// the path.
-  int pathIndex = -1;
-  /// Next hop toward the root (for path relays).
-  NodeId pathNext = kInvalidNode;
-  bool isSource = false;
-  std::uint64_t payload = 0;
-};
-
-/// The per-node state machine of Algorithm 1.
-class CffNodeProtocol : public NodeProtocol, public BroadcastEndpoint {
- public:
-  explicit CffNodeProtocol(const CffNodeConfig& cfg);
-
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override;
-  Round nextWake(Round now) const override;
-
-  bool hasPayload() const override { return hasPayload_; }
-  Round payloadRound() const override { return payloadRound_; }
-
- private:
-  CffNodeConfig cfg_;
-  TdmMap tdm_;
-  bool hasPayload_;
-  Round payloadRound_;
-  bool pathSent_;
-  bool floodSent_;
-  bool missed_ = false;
-
-  Round listenWindowStart() const;
-  Round listenWindowEnd() const;
-  Round floodTransmitRound() const;
-};
 
 /// Admits an Algorithm-1 wave of `payload` from `source` against `net`'s
 /// schedule as of now: one CffSwarm over every live member.

@@ -1,11 +1,12 @@
 // Structure-of-arrays implementation of Algorithm 1 (CFF flooding).
 //
-// Exactly the CffNodeProtocol state machine, but ONE object drives every
-// member node with per-node state held in flat arrays (a handful of
-// bytes per node) instead of one ~100-byte heap object per node. The
-// round-for-round behaviour — actions, wake hints, done transitions — is
-// identical by construction: both implementations are ports of the same
-// state machine, and the differential tests pin them to each other.
+// Exactly the state machine of testkit's reference CffNodeProtocol, but
+// ONE object drives every member node with per-node state held in flat
+// arrays (a handful of bytes per node) instead of one ~100-byte heap
+// object per node. The round-for-round behaviour — actions, wake hints,
+// done transitions — is identical by construction: both implementations
+// are ports of the same state machine, and the differential tests pin
+// them to each other.
 #pragma once
 
 #include <cstdint>

@@ -17,9 +17,7 @@
 #include <vector>
 
 #include "broadcast/run_result.hpp"
-#include "broadcast/tdm.hpp"
 #include "cluster/cnet.hpp"
-#include "radio/protocol.hpp"
 
 namespace dsn {
 
@@ -46,45 +44,6 @@ struct GatherResult {
                          : static_cast<double>(contributors) /
                                static_cast<double>(expected);
   }
-};
-
-/// Per-node static schedule knowledge for the gather wave.
-struct GatherNodeConfig {
-  NodeId self = kInvalidNode;
-  NodeId parent = kInvalidNode;  ///< invalid at the root
-  Depth depth = 0;
-  std::vector<NodeId> children;
-  TimeSlot upSlot = kNoSlot;
-  TimeSlot window = 0;  ///< W — the root's known largest up-slot
-  Channel channels = 1;
-  int maxDepth = 0;  ///< deepest level; its window runs first
-  std::uint64_t value = 0;
-};
-
-/// State machine of one node in the gather wave.
-class GatherNodeProtocol : public NodeProtocol {
- public:
-  explicit GatherNodeProtocol(const GatherNodeConfig& cfg);
-
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override;
-
-  std::uint64_t partialSum() const { return sum_; }
-  std::uint32_t contributors() const { return count_; }
-
- private:
-  GatherNodeConfig cfg_;
-  TdmMap tdm_;
-  std::uint64_t sum_;
-  std::uint32_t count_ = 1;  ///< self
-  std::size_t childrenHeard_ = 0;
-  bool sent_;
-  bool windowClosed_ = false;
-
-  Round childWindowStart() const;
-  Round childWindowEnd() const;
-  Round transmitRound() const;
 };
 
 /// Runs one gather wave: `values[v]` is node v's reading (ids outside

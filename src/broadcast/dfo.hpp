@@ -4,87 +4,18 @@
 // driven by a token: exactly one node transmits per round, so every
 // transmission is collision-free and every neighbor of the transmitter
 // (including pure members) overhears the payload. The token is passed by
-// addressing the frame to one node.
+// addressing the frame to one node. Pure members just listen until they
+// overhear the payload; a member source first hands it to its head (one
+// extra round).
 //
 // Fragility (the paper's robustness argument): one lost token frame
 // stalls the entire remaining tour.
 #pragma once
 
-#include <vector>
-
-#include "cluster/cnet.hpp"
-#include "radio/protocol.hpp"
 #include "broadcast/run_result.hpp"
+#include "cluster/cnet.hpp"
 
 namespace dsn {
-
-/// Protocol of a backbone node in the DFO tour.
-class DfoBackboneProtocol : public NodeProtocol, public BroadcastEndpoint {
- public:
-  /// `btNeighbors` = tree neighbors within BT(G) (backbone parent +
-  /// backbone children). `isTourStart` marks the node that initiates the
-  /// tour (the source, or the source's head when the source is a member).
-  DfoBackboneProtocol(NodeId self, std::vector<NodeId> btNeighbors,
-                      bool isTourStart, std::uint64_t payload);
-
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override { return closed_; }
-  /// Listens every round for the token until its tour part closes.
-  Round nextWake(Round now) const override {
-    return closed_ ? kNoWake : now + 1;
-  }
-
-  bool hasPayload() const override { return hasPayload_; }
-  Round payloadRound() const override { return payloadRound_; }
-
-  /// True once this node finished its part of the tour.
-  bool closed() const { return closed_; }
-
- private:
-  NodeId self_;
-  std::vector<NodeId> pending_;  ///< BT neighbors not yet sent to
-  NodeId tourParent_ = kInvalidNode;
-  bool hadToken_ = false;
-  bool holdsToken_;
-  bool closed_ = false;
-  bool hasPayload_;
-  Round payloadRound_;
-  std::uint64_t payload_;
-
-  Message tokenFor(NodeId target) const;
-};
-
-/// Protocol of a pure member: listen until the payload is overheard.
-/// When the member is the broadcast source it first hands the payload to
-/// its head (one extra round, Section 3.2).
-class DfoMemberProtocol : public NodeProtocol, public BroadcastEndpoint {
- public:
-  DfoMemberProtocol(NodeId self, NodeId head, bool isSource,
-                    std::uint64_t payload);
-
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override;
-  /// Source hand-off in round 0, then (without payload) listen every
-  /// round; with payload in hand a member sleeps forever.
-  Round nextWake(Round now) const override {
-    if (isSource_ && !sentToHead_) return now < 0 ? 0 : now + 1;
-    return hasPayload_ ? kNoWake : now + 1;
-  }
-
-  bool hasPayload() const override { return hasPayload_; }
-  Round payloadRound() const override { return payloadRound_; }
-
- private:
-  NodeId self_;
-  NodeId head_;
-  bool isSource_;
-  bool sentToHead_ = false;
-  bool hasPayload_;
-  Round payloadRound_;
-  std::uint64_t payload_;
-};
 
 /// Runs a full DFO broadcast of `payload` from `source` over `net`.
 BroadcastRun runDfoBroadcast(const ClusterNet& net, NodeId source,

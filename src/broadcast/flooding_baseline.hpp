@@ -9,12 +9,13 @@
 // This baseline makes the paper's comparison concrete: at small windows
 // the storm collides itself to death; at large windows it is slow; CFF
 // gets both speed and determinism from the structure.
+//
+// Flooding is gossip with its own per-node seed salt: both run the one
+// relay state machine in gossip.cpp.
 #pragma once
 
 #include "broadcast/run_result.hpp"
 #include "graph/graph.hpp"
-#include "radio/protocol.hpp"
-#include "util/rng.hpp"
 
 namespace dsn {
 
@@ -25,36 +26,6 @@ struct FloodingConfig {
   int contentionWindow = 8;
   /// RNG seed for the backoff draws.
   std::uint64_t seed = 0xF100D;
-  /// Stop listening after this many rounds of silence once served.
-  Round idleShutdown = 16;
-};
-
-/// Per-node state machine of the storm.
-class FloodingNodeProtocol : public NodeProtocol,
-                             public BroadcastEndpoint {
- public:
-  FloodingNodeProtocol(NodeId self, bool isSource,
-                       const FloodingConfig& cfg, std::uint64_t payload,
-                       Round maxListenRounds);
-
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override;
-  Round nextWake(Round now) const override;
-
-  bool hasPayload() const override { return hasPayload_; }
-  Round payloadRound() const override { return payloadRound_; }
-
- private:
-  NodeId self_;
-  FloodingConfig cfg_;
-  Rng rng_;
-  bool hasPayload_;
-  Round payloadRound_;
-  Round relayRound_ = -1;  ///< scheduled retransmission (-1 = none)
-  bool relayed_ = false;
-  Round maxListenRounds_;
-  std::uint64_t payload_;
 };
 
 /// Runs a probabilistic flood of `payload` from `source` over the flat

@@ -12,12 +12,12 @@
 // the active-set scheduler. The relay coin is flipped ONCE,
 // at first receipt, from a per-node RNG seeded `seed ^ f(self)` — which
 // is what makes a gossip run a pure function of (graph, source, seed).
+// Blind flooding (flooding_baseline.hpp) is the same machine with its
+// own seed salt.
 #pragma once
 
 #include "broadcast/run_result.hpp"
 #include "graph/graph.hpp"
-#include "radio/protocol.hpp"
-#include "util/rng.hpp"
 
 namespace dsn {
 
@@ -31,35 +31,6 @@ struct GossipConfig {
   int contentionWindow = 8;
   /// RNG seed for relay coins and backoff draws.
   std::uint64_t seed = 0x6055171Bull;
-};
-
-/// Per-node gossip state machine. `relayProbability` is this node's
-/// resolved coin bias (the runner folds the adaptive rule into it).
-class GossipNodeProtocol : public NodeProtocol, public BroadcastEndpoint {
- public:
-  GossipNodeProtocol(NodeId self, bool isSource, double relayProbability,
-                     const GossipConfig& cfg, std::uint64_t payload,
-                     Round maxListenRounds);
-
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override;
-  Round nextWake(Round now) const override;
-
-  bool hasPayload() const override { return hasPayload_; }
-  Round payloadRound() const override { return payloadRound_; }
-
- private:
-  NodeId self_;
-  double relayProbability_;
-  int contentionWindow_;
-  Rng rng_;
-  bool hasPayload_;
-  Round payloadRound_;
-  Round relayRound_ = -1;  ///< scheduled retransmission (-1 = none)
-  bool relayed_ = false;
-  Round maxListenRounds_;
-  std::uint64_t payload_;
 };
 
 /// Runs a gossip broadcast of `payload` from `source` over the flat

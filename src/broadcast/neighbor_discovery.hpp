@@ -4,16 +4,22 @@
 // O(d_new) *expected* rounds using a randomized protocol (paper
 // Section 5.1 / Theorem 2(1), citing [19]). dsnet charges exactly d_new
 // rounds per attach (DESIGN.md §2); this module implements the actual
-// handshake on the radio simulator so that charge can be validated:
+// handshake on the radio simulator so that charge can be validated. It
+// runs in cycles; a cycle with window W takes 1 + 2W rounds:
 //
-//   1. the joiner transmits HELLO;
-//   2. every neighbor picks a uniform slot in a contention window and
-//      replies, addressed to the joiner;
-//   3. replies that collide are not acknowledged (the joiner piggybacks
-//      the ids it heard on its next HELLO); unheard neighbors retry in
-//      the next window, whose size doubles (binary exponential backoff);
-//   4. the protocol ends when a HELLO round is followed by a window in
-//      which every remaining neighbor got through.
+//   1. the joiner transmits HELLO carrying W;
+//   2. every neighbor not yet acknowledged picks a uniform slot j in
+//      [0, W) and replies, addressed to the joiner, in the cycle's round
+//      1 + 2j;
+//   3. the joiner ACKs each reply it heard in the next round (2 + 2j).
+//      Replies that collide go unheard and unacknowledged; their senders
+//      retry in the next cycle;
+//   4. a cycle in which the joiner heard any reply keeps W; a silent
+//      cycle doubles it (up to maxWindow). Without collision detection a
+//      fully collided cycle looks silent, so the joiner stops only after
+//      two silent cycles at W >= 16 once it has heard someone, or at the
+//      first silent cycle at W >= 64 while it has heard no one. A
+//      neighbor that hears no HELLO for a long timeout gives up.
 //
 // Expected rounds grow linearly in the true neighbor count — the
 // `tbl_discovery` bench measures the constant.
@@ -22,13 +28,12 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace dsn {
 
 struct DiscoveryConfig {
-  /// Initial contention window (doubles after each incomplete round).
+  /// Initial contention window (doubles after each silent cycle).
   int initialWindow = 2;
   /// Hard cap on the window growth.
   int maxWindow = 1024;

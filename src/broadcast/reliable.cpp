@@ -36,124 +36,132 @@ double hashCoin(std::uint64_t seed, NodeId v, int repairRound) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-/// Per-node state machine for one repair round.
-class RepairProtocol final : public NodeProtocol {
+/// One repair round's swarm, keyed by node id. An uncovered node sends
+/// one NACK in its depth's sub-window of the NACK phase, then listens
+/// through the whole data phase. A covered node listens through the NACK
+/// phase and, if it heard a NACK and its backoff coin lets it, resends
+/// the payload once in its depth's sub-window of the data phase.
+class RepairSwarm final : public PayloadSwarm {
  public:
-  struct Config {
-    NodeId self = kInvalidNode;
-    Depth depth = 0;
-    /// Up-slot (root falls back to slot 1).
-    TimeSlot slot = 1;
-    TimeSlot window = 1;  ///< largest up-slot (TDM window basis)
-    Channel channels = 1;
-    int subWindows = 1;  ///< maxDepth + 1 per phase
-    bool covered = false;
-    bool eligible = true;  ///< responder backoff coin (covered nodes)
-    std::uint64_t payload = 0;
-  };
+  /// `window` (>= 1) is the largest up-slot, the TDM window basis, and
+  /// `subWindows` = maxDepth + 1 per phase.
+  RepairSwarm(std::size_t nodeCount, TimeSlot window, Channel channels,
+              int subWindows, std::uint64_t payload)
+      : PayloadSwarm(nodeCount),
+        tdm_(window, channels),
+        nackEnd_(static_cast<Round>(subWindows) * tdm_.windowLength()),
+        repairPayload_(payload),
+        depth_(nodeCount, 0),
+        slot_(nodeCount, 1) {}
 
-  explicit RepairProtocol(const Config& cfg)
-      : cfg_(cfg), tdm_(cfg.window == 0 ? 1 : cfg.window, cfg.channels) {}
+  /// Rounds of both phases.
+  Round scheduleLength() const { return 2 * nackEnd_; }
 
-  Round nackPhaseLength() const {
-    return static_cast<Round>(cfg_.subWindows) * tdm_.windowLength();
+  /// Registers node `v` with its up-slot (the root falls back to slot
+  /// 1), whether it already holds the payload and, for a covered node,
+  /// whether its responder coin lets it answer.
+  void addMember(NodeId v, Depth depth, TimeSlot slot, bool covered,
+                 bool eligible) {
+    addHolder(v, false, 0);
+    depth_[v] = depth;
+    slot_[v] = slot;
+    if (covered) flags_[v] |= kCovered;
+    if (eligible) flags_[v] |= kEligible;
   }
-  Round scheduleLength() const { return 2 * nackPhaseLength(); }
 
-  Action onRound(Round r) override {
-    const Round nackEnd = nackPhaseLength();
-    if (cfg_.covered) {
-      if (r < nackEnd) return Action::listen();
-      if (!heardNack_ || !cfg_.eligible) {
-        done_ = true;
+  Action onRound(NodeId v, Round r) override {
+    std::uint8_t& f = flags_[v];
+    if (f & kCovered) {
+      if (r < nackEnd_) return Action::listen();
+      if (!(f & kHeardNack) || !(f & kEligible)) {
+        f |= kDone;
         return Action::sleep();
       }
-      const Round tx = nackEnd +
-                       static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
-                       tdm_.roundOffset(cfg_.slot);
+      const Round tx = nackEnd_ + subWindowRound(v);
       if (r == tx) {
-        done_ = true;
-        responded_ = true;
-        Message m;
-        m.kind = MsgKind::kData;
-        m.sender = cfg_.self;
-        m.depth = cfg_.depth;
-        m.slot = cfg_.slot;
-        m.payload = cfg_.payload;
-        return Action::transmit(m, tdm_.channelOf(cfg_.slot));
+        f |= kDone | kResponded;
+        Message m = frame(v, MsgKind::kData);
+        m.payload = repairPayload_;
+        return Action::transmit(m, tdm_.channelOf(slot_[v]));
       }
-      if (r > tx) done_ = true;
+      if (r > tx) f |= kDone;
       return Action::sleep();
     }
 
     // Uncovered: one NACK in our depth's sub-window, then listen through
     // the whole data phase.
-    if (hasPayload_) {
-      done_ = true;
+    if (f & kHasPayload) {
+      f |= kDone;
       return Action::sleep();
     }
-    const Round nackTx = static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
-                         tdm_.roundOffset(cfg_.slot);
-    if (r == nackTx) {
-      nackSent_ = true;
-      Message m;
-      m.kind = MsgKind::kNack;
-      m.sender = cfg_.self;
-      m.depth = cfg_.depth;
-      m.slot = cfg_.slot;
-      return Action::transmit(m, tdm_.channelOf(cfg_.slot));
+    if (r == subWindowRound(v)) {
+      f |= kNackSent;
+      return Action::transmit(frame(v, MsgKind::kNack),
+                              tdm_.channelOf(slot_[v]));
     }
-    if (r >= nackEnd) return Action::listen();
+    if (r >= nackEnd_) return Action::listen();
     return Action::sleep();
   }
 
-  void onReceive(const Message& m, Round r, Channel) override {
-    if (cfg_.covered) {
-      if (m.kind == MsgKind::kNack) heardNack_ = true;
+  void onReceive(NodeId v, const Message& m, Round r, Channel) override {
+    if (flags_[v] & kCovered) {
+      if (m.kind == MsgKind::kNack) flags_[v] |= kHeardNack;
       return;
     }
-    if (m.kind == MsgKind::kData && !hasPayload_) {
-      hasPayload_ = true;
-      payloadRound_ = r;
-    }
+    if (m.kind == MsgKind::kData) takePayload(v, m.payload, r);
   }
 
-  bool isDone() const override { return done_; }
+  bool isDone(NodeId v) const override { return (flags_[v] & kDone) != 0; }
 
-  Round nextWake(Round now) const override {
-    if (done_) return kNoWake;
-    const Round nackEnd = nackPhaseLength();
-    if (cfg_.covered) {
-      if (now + 1 < nackEnd) return now + 1;  // NACK-phase listening
-      if (!heardNack_ || !cfg_.eligible) return now + 1;  // done transition
-      const Round tx = nackEnd +
-                       static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
-                       tdm_.roundOffset(cfg_.slot);
+  Round nextWake(NodeId v, Round now) const override {
+    const std::uint8_t f = flags_[v];
+    if (f & kDone) return kNoWake;
+    if (f & kCovered) {
+      if (now + 1 < nackEnd_) return now + 1;  // NACK-phase listening
+      if (!(f & kHeardNack) || !(f & kEligible))
+        return now + 1;  // done transition
+      const Round tx = nackEnd_ + subWindowRound(v);
       return tx > now ? tx : now + 1;
     }
-    if (hasPayload_) return now + 1;  // done transition
-    const Round nackTx =
-        static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
-        tdm_.roundOffset(cfg_.slot);
+    if (f & kHasPayload) return now + 1;  // done transition
+    const Round nackTx = subWindowRound(v);
     if (nackTx > now) return nackTx;  // our NACK sub-window slot
-    if (now + 1 < nackEnd) return nackEnd;  // sleep out the NACK phase
+    if (now + 1 < nackEnd_) return nackEnd_;  // sleep out the NACK phase
     return now + 1;  // data-phase listening
   }
 
-  bool hasPayload() const { return hasPayload_; }
-  Round payloadRound() const { return payloadRound_; }
-  bool nackSent() const { return nackSent_; }
-  bool responded() const { return responded_; }
+  bool nackSent(NodeId v) const { return (flags_[v] & kNackSent) != 0; }
+  bool responded(NodeId v) const { return (flags_[v] & kResponded) != 0; }
 
  private:
-  Config cfg_;
+  static constexpr std::uint8_t kCovered = 2;
+  static constexpr std::uint8_t kEligible = 4;
+  static constexpr std::uint8_t kHeardNack = 8;
+  static constexpr std::uint8_t kNackSent = 16;
+  static constexpr std::uint8_t kResponded = 32;
+  static constexpr std::uint8_t kDone = 64;
+
+  /// Node v's round within its phase: its depth's sub-window plus its
+  /// up-slot offset.
+  Round subWindowRound(NodeId v) const {
+    return static_cast<Round>(depth_[v]) * tdm_.windowLength() +
+           tdm_.roundOffset(slot_[v]);
+  }
+
+  Message frame(NodeId v, MsgKind kind) const {
+    Message m;
+    m.kind = kind;
+    m.sender = v;
+    m.depth = depth_[v];
+    m.slot = slot_[v];
+    return m;
+  }
+
   TdmMap tdm_;
-  bool heardNack_ = false;
-  bool hasPayload_ = false;
-  Round payloadRound_ = -1;
-  bool nackSent_ = false;
-  bool responded_ = false;
-  bool done_ = false;
+  Round nackEnd_;
+  std::uint64_t repairPayload_;
+  std::vector<Depth> depth_;
+  std::vector<TimeSlot> slot_;
 };
 
 /// Shifts the failure plan of `base` by `elapsed` virtual rounds so a
@@ -256,49 +264,40 @@ ReliableBroadcastRun runReliableBroadcast(BroadcastScheme scheme,
     if (uncovered.empty()) break;
 
     const ProtocolOptions opts = shiftedOptions(options.base, elapsed, k);
-    RepairProtocol::Config proto;
-    proto.window = upWindow == 0 ? 1 : upWindow;
-    proto.channels = opts.channels;
-    proto.subWindows = static_cast<int>(maxDepth) + 1;
+    auto swarm = std::make_unique<RepairSwarm>(
+        g.size(), upWindow == 0 ? 1 : upWindow, opts.channels,
+        static_cast<int>(maxDepth) + 1, payload);
+    for (NodeId v : intended) {
+      const bool eligible =
+          k == 0 || options.responderKeepProbability >= 1.0 ||
+          hashCoin(options.base.failureSeed, v, k) <
+              options.responderKeepProbability;
+      swarm->addMember(v, net.depth(v),
+                       net.upSlot(v) == kNoSlot ? 1 : net.upSlot(v),
+                       covered[v] != 0, eligible);
+    }
 
     SimConfig cfg;
     cfg.channelCount = opts.channels;
     cfg.traceCapacity = 0;
     cfg.scheduling = opts.scheduling;
     cfg.resolveScratch = opts.resolveScratch;
-    cfg.maxRounds = 2 * static_cast<Round>(proto.subWindows) *
-                    TdmMap(proto.window, proto.channels).windowLength();
+    cfg.maxRounds = swarm->scheduleLength();
 
     RadioSimulator sim(g, cfg);
     detail::applyFailures(sim, opts);
-
-    std::vector<RepairProtocol*> repairers(g.size(), nullptr);
-    for (NodeId v : intended) {
-      RepairProtocol::Config nc = proto;
-      nc.self = v;
-      nc.depth = net.depth(v);
-      nc.slot = net.upSlot(v) == kNoSlot ? 1 : net.upSlot(v);
-      nc.covered = covered[v] != 0;
-      nc.eligible = k == 0 || options.responderKeepProbability >= 1.0 ||
-                    hashCoin(options.base.failureSeed, v, k) <
-                        options.responderKeepProbability;
-      nc.payload = payload;
-      auto p = std::make_unique<RepairProtocol>(nc);
-      repairers[v] = p.get();
-      sim.setProtocol(v, std::move(p));
-    }
+    const RepairSwarm& repair = *swarm;
+    sim.setSwarm(std::move(swarm), intended);
 
     const SimResult result = sim.run();
     ++run.repairRoundsUsed;
 
     for (NodeId v : intended) {
-      const RepairProtocol* p = repairers[v];
-      if (!p) continue;
-      if (p->nackSent()) ++run.nacksSent;
-      if (p->responded()) ++run.retransmissions;
-      if (!covered[v] && p->hasPayload()) {
+      if (repair.nackSent(v)) ++run.nacksSent;
+      if (repair.responded(v)) ++run.retransmissions;
+      if (!covered[v] && repair.hasPayload(v)) {
         covered[v] = 1;
-        run.deliveryRound[v] = elapsed + p->payloadRound();
+        run.deliveryRound[v] = elapsed + repair.payloadRound(v);
       }
     }
     elapsed += result.rounds;

@@ -1,12 +1,14 @@
 #include "broadcast/rlnc.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <vector>
 
+#include "broadcast/gf256.hpp"
 #include "broadcast/runner_detail.hpp"
-#include "graph/algorithms.hpp"
-#include "radio/simulator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dsn {
 
@@ -28,177 +30,173 @@ gf256::CoefRow unpackCoef(std::uint32_t packed) {
   return coef;
 }
 
-}  // namespace
-
-RlncNodeProtocol::RlncNodeProtocol(NodeId self, bool isSource,
-                                   const RlncConfig& cfg,
-                                   std::uint64_t payload,
-                                   Round maxListenRounds)
-    : self_(self),
-      cfg_(cfg),
-      rng_(cfg.seed ^ (static_cast<std::uint64_t>(self) * 0xD6E8FEB86659FD93ull)),
-      decoded_(isSource),
-      payloadRound_(isSource ? 0 : -1),
-      maxListenRounds_(maxListenRounds) {
-  DSN_REQUIRE(cfg.contentionWindow >= 1, "contention window must be >= 1");
-  DSN_REQUIRE(cfg.sourceBudget >= 1, "RLNC source budget must be >= 1");
-  DSN_REQUIRE(cfg.relayBudget >= 0, "RLNC relay budget must be >= 0");
-  if (isSource) {
+/// RLNC's swarm. Each node holds a GF(2^8) decoder and an RNG seeded
+/// `seed ^ (v * salt)`; the source starts with the whole generation and
+/// `sourceBudget` transmissions due from round 0, and a relay gets
+/// `relayBudget` of them with its first innovative row. Every
+/// transmission is a fresh random combination of the node's basis rows,
+/// the next one after a uniform backoff in [1, window]. A node settles
+/// once its decoder reaches full rank: served when the recovered
+/// generation passes the consistency check, failed otherwise.
+class RlncSwarm final : public detail::FlatSwarm {
+ public:
+  RlncSwarm(std::size_t nodeCount, NodeId source, std::uint64_t payload,
+            Round maxListen, const RlncConfig& cfg)
+      : FlatSwarm(nodeCount, maxListen),
+        cfg_(cfg),
+        sourcePayload_(payload),
+        decoder_(nodeCount, gf256::Decoder(kRlncGeneration)),
+        txRound_(nodeCount, -1),
+        txRemaining_(nodeCount, 0) {
+    rng_.reserve(nodeCount);
+    for (std::uint64_t v = 0; v < nodeCount; ++v)
+      rng_.emplace_back(cfg.seed ^ (v * 0xD6E8FEB86659FD93ull));
     // The source holds the generation in the clear: identity rows.
     for (int i = 0; i < kRlncGeneration; ++i) {
       gf256::CoefRow e{};
       e[static_cast<std::size_t>(i)] = 1;
-      decoder_.insert(e, rlncSourceSymbol(payload, i));
+      decoder_[source].insert(e, rlncSourceSymbol(payload, i));
     }
-    decodedPayload_ = payload;
-    txRemaining_ = cfg.sourceBudget;
-    txRound_ = 0;  // first coded packet goes out immediately
-  }
-}
-
-Action RlncNodeProtocol::transmitCoded(Round r) {
-  // Fresh random combination of the rows this node holds. The combined
-  // coding vector is zero iff every weight is zero (the stored rows are
-  // linearly independent), so force one weight when that happens.
-  gf256::CoefRow coef{};
-  std::uint64_t symbol = 0;
-  bool anyWeight = false;
-  int firstUsed = -1;
-  for (int col = 0; col < kRlncGeneration; ++col) {
-    if (!decoder_.pivotUsed(col)) continue;
-    if (firstUsed < 0) firstUsed = col;
-    const auto w = static_cast<std::uint8_t>(rng_.uniform(256));
-    if (w == 0) continue;
-    anyWeight = true;
-    const gf256::CoefRow& row = decoder_.pivotCoef(col);
-    for (int j = 0; j < kRlncGeneration; ++j)
-      coef[static_cast<std::size_t>(j)] = gf256::add(
-          coef[static_cast<std::size_t>(j)],
-          gf256::mul(row[static_cast<std::size_t>(j)], w));
-    symbol ^= gf256::scaleSymbol(decoder_.pivotSymbol(col), w);
-  }
-  if (!anyWeight && firstUsed >= 0) {
-    coef = decoder_.pivotCoef(firstUsed);
-    symbol = decoder_.pivotSymbol(firstUsed);
+    addHolder(source, true, payload);
+    txRemaining_[source] = cfg.sourceBudget;
+    txRound_[source] = 0;  // first coded packet goes out immediately
   }
 
-  --txRemaining_;
-  txRound_ = txRemaining_ > 0
-                 ? r + 1 + static_cast<Round>(rng_.uniform(
-                               static_cast<std::uint64_t>(
-                                   cfg_.contentionWindow)))
-                 : -1;
+  Action onRound(NodeId v, Round r) override {
+    if (txRound_[v] >= 0 && r == txRound_[v]) return transmitCoded(v, r);
+    if (!settled(v)) return listenWithinBudget(r);
+    return Action::sleep();
+  }
 
-  Message m;
-  m.kind = MsgKind::kData;
-  m.sender = self_;
-  m.sequence = packCoef(coef);
-  m.payload = symbol;
-  return Action::transmit(m);
-}
-
-void RlncNodeProtocol::tryDecode(Round r) {
-  if (decoded_ || decodeFailed_ || !decoder_.complete()) return;
-  std::array<std::uint64_t, gf256::kMaxGeneration> symbols{};
-  decoder_.solve(symbols);
-  for (int i = 1; i < kRlncGeneration; ++i) {
-    if (symbols[static_cast<std::size_t>(i)] !=
-        rlncSourceSymbol(symbols[0], i)) {
-      decodeFailed_ = true;
-      return;
+  void onReceive(NodeId v, const Message& m, Round r, Channel) override {
+    if (m.kind != MsgKind::kData) return;
+    if (settled(v)) return;
+    gf256::Decoder& dec = decoder_[v];
+    if (!dec.insert(unpackCoef(m.sequence), m.payload)) return;
+    if (txRound_[v] < 0 && txRemaining_[v] == 0 && cfg_.relayBudget > 0 &&
+        dec.rank() == 1) {
+      // First innovative row: start this relay's recoding schedule.
+      txRemaining_[v] = cfg_.relayBudget;
+      txRound_[v] = r + 1 + backoff(v);
     }
+    tryDecode(v, r);
   }
-  decoded_ = true;
-  decodedPayload_ = symbols[0];
-  payloadRound_ = r;
-}
 
-Action RlncNodeProtocol::onRound(Round r) {
-  if (txRound_ >= 0 && r == txRound_) return transmitCoded(r);
-  if (!decoded_ && !decodeFailed_)
-    return r >= maxListenRounds_ ? Action::sleep() : Action::listen();
-  return Action::sleep();
-}
-
-void RlncNodeProtocol::onReceive(const Message& m, Round r, Channel) {
-  if (m.kind != MsgKind::kData) return;
-  if (decoded_ || decodeFailed_) return;
-  const bool innovative = decoder_.insert(unpackCoef(m.sequence), m.payload);
-  if (!innovative) return;
-  if (txRound_ < 0 && txRemaining_ == 0 && cfg_.relayBudget > 0 &&
-      decoder_.rank() == 1) {
-    // First innovative row: start this relay's recoding schedule.
-    txRemaining_ = cfg_.relayBudget;
-    txRound_ =
-        r + 1 + static_cast<Round>(rng_.uniform(
-                    static_cast<std::uint64_t>(cfg_.contentionWindow)));
+  bool isDone(NodeId v) const override {
+    return settled(v) && txRound_[v] < 0;
   }
-  tryDecode(r);
-}
 
-bool RlncNodeProtocol::isDone() const {
-  return (decoded_ || decodeFailed_) && txRound_ < 0;
-}
-
-Round RlncNodeProtocol::nextWake(Round now) const {
-  if (txRound_ >= 0) {
-    Round wake = txRound_ > now ? txRound_ : now + 1;
-    if (!decoded_ && !decodeFailed_ && now + 1 < maxListenRounds_)
-      wake = std::min(wake, now + 1);  // still collecting rank: listen
-    return wake;
+  Round nextWake(NodeId v, Round now) const override {
+    if (txRound_[v] >= 0) {
+      Round wake = txRound_[v] > now ? txRound_[v] : now + 1;
+      if (!settled(v) && now + 1 < maxListen_)
+        wake = std::min(wake, now + 1);  // still collecting rank: listen
+      return wake;
+    }
+    if (!settled(v)) return nextWakeWithinBudget(now);
+    return kNoWake;
   }
-  if (!decoded_ && !decodeFailed_)
-    return now + 1 < maxListenRounds_ ? now + 1 : kNoWake;
-  return kNoWake;
-}
+
+  std::size_t decodeFailures() const override { return decodeFailures_; }
+
+ private:
+  /// Full rank reached but the generation failed the consistency check
+  /// (only a field/elimination bug can cause this).
+  static constexpr std::uint8_t kDecodeFailed = 2;
+
+  bool settled(NodeId v) const {
+    return (flags_[v] & (kHasPayload | kDecodeFailed)) != 0;
+  }
+
+  Round backoff(NodeId v) {
+    return static_cast<Round>(
+        rng_[v].uniform(static_cast<std::uint64_t>(cfg_.contentionWindow)));
+  }
+
+  Action transmitCoded(NodeId v, Round r) {
+    // Fresh random combination of the rows this node holds. The combined
+    // coding vector is zero iff every weight is zero (the stored rows are
+    // linearly independent), so force one weight when that happens.
+    const gf256::Decoder& dec = decoder_[v];
+    gf256::CoefRow coef{};
+    std::uint64_t symbol = 0;
+    bool anyWeight = false;
+    int firstUsed = -1;
+    for (int col = 0; col < kRlncGeneration; ++col) {
+      if (!dec.pivotUsed(col)) continue;
+      if (firstUsed < 0) firstUsed = col;
+      const auto w = static_cast<std::uint8_t>(rng_[v].uniform(256));
+      if (w == 0) continue;
+      anyWeight = true;
+      const gf256::CoefRow& row = dec.pivotCoef(col);
+      for (int j = 0; j < kRlncGeneration; ++j)
+        coef[static_cast<std::size_t>(j)] = gf256::add(
+            coef[static_cast<std::size_t>(j)],
+            gf256::mul(row[static_cast<std::size_t>(j)], w));
+      symbol ^= gf256::scaleSymbol(dec.pivotSymbol(col), w);
+    }
+    if (!anyWeight && firstUsed >= 0) {
+      coef = dec.pivotCoef(firstUsed);
+      symbol = dec.pivotSymbol(firstUsed);
+    }
+
+    --txRemaining_[v];
+    txRound_[v] = txRemaining_[v] > 0 ? r + 1 + backoff(v) : -1;
+
+    Message m;
+    m.kind = MsgKind::kData;
+    m.sender = v;
+    m.sequence = packCoef(coef);
+    m.payload = symbol;
+    return Action::transmit(m);
+  }
+
+  void tryDecode(NodeId v, Round r) {
+    const gf256::Decoder& dec = decoder_[v];
+    if (!dec.complete()) return;
+    std::array<std::uint64_t, gf256::kMaxGeneration> symbols{};
+    dec.solve(symbols);
+    for (int i = 1; i < kRlncGeneration; ++i) {
+      if (symbols[static_cast<std::size_t>(i)] !=
+          rlncSourceSymbol(symbols[0], i)) {
+        flags_[v] |= kDecodeFailed;
+        ++decodeFailures_;
+        return;
+      }
+    }
+    takePayload(v, symbols[0], r);
+    // Decode-completeness oracle input: a full-rank decode must yield the
+    // injected generation. Any mismatch is a field/elimination bug, never
+    // an acceptable lossy outcome.
+    if (symbols[0] != sourcePayload_) ++decodeFailures_;
+  }
+
+  RlncConfig cfg_;
+  std::uint64_t sourcePayload_;
+  std::vector<gf256::Decoder> decoder_;
+  std::vector<Rng> rng_;
+  std::vector<Round> txRound_;  ///< next coded transmission (-1 = none)
+  std::vector<int> txRemaining_;
+  std::size_t decodeFailures_ = 0;
+};
+
+}  // namespace
 
 BroadcastRun runRlncBroadcast(const Graph& g, NodeId source,
                               std::uint64_t payload,
                               const RlncConfig& config,
                               const ProtocolOptions& options) {
   DSN_REQUIRE(g.isAlive(source), "RLNC source must be live");
-
-  const auto intended = reachableFrom(g, source);
-  const Round maxListen =
-      options.maxRounds > 0
-          ? options.maxRounds
-          : static_cast<Round>(g.liveCount()) *
-                    (config.contentionWindow + 1) +
-                16;
-
-  SimConfig cfg;
-  cfg.channelCount = 1;
-  cfg.maxRounds = maxListen + 4;
-  cfg.traceCapacity = options.traceCapacity;
-  detail::applyScheduling(cfg, options);
-
-  RadioSimulator sim(g, cfg);
-  detail::applyFailures(sim, options);
-
-  std::vector<BroadcastEndpoint*> endpoints(g.size(), nullptr);
-  std::vector<RlncNodeProtocol*> nodes(g.size(), nullptr);
-  for (NodeId v : intended) {
-    auto proto = std::make_unique<RlncNodeProtocol>(
-        v, v == source, config, payload, maxListen);
-    endpoints[v] = proto.get();
-    nodes[v] = proto.get();
-    sim.setProtocol(v, std::move(proto));
-  }
-
-  BroadcastRun run;
-  run.scheduleLength = maxListen;
-  run.sim = sim.run();
-  detail::collectDeliveryStats(sim, intended, endpoints, run);
-  // Decode-completeness oracle input: a full-rank decode must yield the
-  // injected generation. Any mismatch is a field/elimination bug, never
-  // an acceptable lossy outcome.
-  for (NodeId v : intended) {
-    if (!nodes[v]) continue;
-    if (nodes[v]->decodeFailed() ||
-        (nodes[v]->hasPayload() && nodes[v]->decodedPayload() != payload))
-      ++run.decodeFailures;
-  }
-  return run;
+  DSN_REQUIRE(config.contentionWindow >= 1,
+              "contention window must be >= 1");
+  DSN_REQUIRE(config.sourceBudget >= 1, "RLNC source budget must be >= 1");
+  DSN_REQUIRE(config.relayBudget >= 0, "RLNC relay budget must be >= 0");
+  const Round budget =
+      detail::flatListenBudget(g, config.contentionWindow, options);
+  return detail::runFlatRival(
+      g, source, budget,
+      std::make_unique<RlncSwarm>(g.size(), source, payload, budget, config),
+      options);
 }
 
 }  // namespace dsn

@@ -18,11 +18,8 @@
 // fuzz battery checks.
 #pragma once
 
-#include "broadcast/gf256.hpp"
 #include "broadcast/run_result.hpp"
 #include "graph/graph.hpp"
-#include "radio/protocol.hpp"
-#include "util/rng.hpp"
 
 namespace dsn {
 
@@ -48,42 +45,6 @@ constexpr std::uint64_t rlncSourceSymbol(std::uint64_t payload, int i) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
-
-class RlncNodeProtocol : public NodeProtocol, public BroadcastEndpoint {
- public:
-  RlncNodeProtocol(NodeId self, bool isSource, const RlncConfig& cfg,
-                   std::uint64_t payload, Round maxListenRounds);
-
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override;
-  Round nextWake(Round now) const override;
-
-  bool hasPayload() const override { return decoded_; }
-  Round payloadRound() const override { return payloadRound_; }
-
-  /// Full rank reached but the generation failed the consistency check
-  /// (only a field/elimination bug can cause this).
-  bool decodeFailed() const { return decodeFailed_; }
-  std::uint64_t decodedPayload() const { return decodedPayload_; }
-  int rank() const { return decoder_.rank(); }
-
- private:
-  Action transmitCoded(Round r);
-  void tryDecode(Round r);
-
-  NodeId self_;
-  RlncConfig cfg_;
-  Rng rng_;
-  gf256::Decoder decoder_{kRlncGeneration};
-  bool decoded_;
-  bool decodeFailed_ = false;
-  Round payloadRound_;
-  std::uint64_t decodedPayload_ = 0;
-  Round txRound_ = -1;  ///< next scheduled coded transmission (-1 = none)
-  int txRemaining_ = 0;
-  Round maxListenRounds_;
-};
 
 BroadcastRun runRlncBroadcast(const Graph& g, NodeId source,
                               std::uint64_t payload,

@@ -3,8 +3,8 @@
 //
 // Both algorithms take a frame the same way — the first data or control
 // frame a node hears delivers the payload — and report delivery the same
-// way. SlottedSwarm holds that state in flat arrays and implements
-// onReceive once; CffSwarm and IcffSwarm add their schedule columns and
+// way. SlottedSwarm implements onReceive once over the delivery columns
+// of PayloadSwarm; CffSwarm and IcffSwarm add their schedule columns and
 // duty flags. A wave is admitted against a net's schedule as of now by
 // admitCffWave or admitIcffWave; runCffBroadcast,
 // runImprovedCffBroadcast, runMulticast and InFlightBroadcast all run
@@ -16,34 +16,20 @@
 #include <vector>
 
 #include "broadcast/run_result.hpp"
-#include "radio/protocol.hpp"
 
 namespace dsn {
 
 class ClusterNet;
 
-/// Delivery state of every member of a slotted wave, keyed by node id.
-class SlottedSwarm : public SwarmProtocol {
+/// A slotted wave's swarm: the first data or control frame a member
+/// hears delivers the payload.
+class SlottedSwarm : public PayloadSwarm {
  public:
   void onReceive(NodeId v, const Message& m, Round r,
                  Channel channel) final;
 
-  bool hasPayload(NodeId v) const { return (flags_[v] & kHasPayload) != 0; }
-  Round payloadRound(NodeId v) const { return payloadRound_[v]; }
-
  protected:
-  /// flags_ bit every slotted swarm shares; subclasses use higher bits.
-  static constexpr std::uint8_t kHasPayload = 1;
-
-  explicit SlottedSwarm(std::size_t nodeCount);
-
-  /// Resets node `v`'s delivery state: the source holds `payload` from
-  /// round 0, everyone else waits for a frame.
-  void addHolder(NodeId v, bool isSource, std::uint64_t payload);
-
-  std::vector<std::uint8_t> flags_;
-  std::vector<std::uint64_t> payload_;
-  std::vector<Round> payloadRound_;
+  using PayloadSwarm::PayloadSwarm;
 };
 
 /// One slotted wave admitted against a net's schedule as of now.

@@ -1,190 +1,128 @@
 #include "broadcast/suppression.hpp"
 
 #include <memory>
+#include <vector>
 
 #include "broadcast/runner_detail.hpp"
-#include "graph/algorithms.hpp"
-#include "radio/simulator.hpp"
 #include "util/error.hpp"
+#include "util/geometry.hpp"
+#include "util/rng.hpp"
 
 namespace dsn {
 
 namespace {
 
-/// Shared listen-budget rule (matches the flooding baseline).
-Round listenBudget(const Graph& g, int window, const ProtocolOptions& o) {
-  if (o.maxRounds > 0) return o.maxRounds;
-  return static_cast<Round>(g.liveCount()) * (window + 1) + 16;
-}
+/// Counter- and distance-based suppression's one state machine. A node
+/// that first hears the payload schedules a relay after a uniform backoff
+/// in [1, window], listens through the backoff counting the copies that
+/// count, and at its relay slot transmits unless `threshold` of them were
+/// heard. The two rivals differ only in which copies count: every copy
+/// (counter), or, when `positions` is set, a copy from a transmitter
+/// within `radius` (distance, threshold 1) — and a distance node whose
+/// first copy already counts is covered from close by and never relays.
+/// Node v's backoff comes from an RNG seeded `seed ^ (v * salt)` at its
+/// first receipt, the only place it draws.
+class SuppressionSwarm final : public detail::FlatSwarm {
+ public:
+  SuppressionSwarm(std::size_t nodeCount, NodeId source,
+                   std::uint64_t payload, Round maxListen, int window,
+                   int threshold, const std::vector<Point2D>* positions,
+                   double radius, std::uint64_t seed, std::uint64_t salt)
+      : FlatSwarm(nodeCount, maxListen),
+        window_(window),
+        threshold_(threshold),
+        positions_(positions),
+        radius_(radius),
+        seed_(seed),
+        salt_(salt),
+        relayRound_(nodeCount, -1),
+        copies_(nodeCount, 0) {
+    addHolder(source, true, payload);
+    relayRound_[source] = 0;  // the source transmits immediately
+  }
 
-}  // namespace
-
-// ---------------------------------------------------------------------
-// Counter-based suppression.
-
-CounterNodeProtocol::CounterNodeProtocol(NodeId self, bool isSource,
-                                         const CounterConfig& cfg,
-                                         std::uint64_t payload,
-                                         Round maxListenRounds)
-    : self_(self),
-      cfg_(cfg),
-      rng_(cfg.seed ^ (static_cast<std::uint64_t>(self) * 0x9FB21C651E98DF25ull)),
-      hasPayload_(isSource),
-      payloadRound_(isSource ? 0 : -1),
-      maxListenRounds_(maxListenRounds),
-      payload_(payload) {
-  DSN_REQUIRE(cfg.contentionWindow >= 1, "contention window must be >= 1");
-  DSN_REQUIRE(cfg.counterThreshold >= 1, "counter threshold must be >= 1");
-  if (isSource) relayRound_ = 0;  // the source transmits immediately
-}
-
-Action CounterNodeProtocol::onRound(Round r) {
-  if (relayRound_ >= 0 && r == relayRound_ && !decided_) {
-    decided_ = true;
-    if (copies_ < cfg_.counterThreshold) {
-      Message m;
-      m.kind = MsgKind::kData;
-      m.sender = self_;
-      m.payload = payload_;
-      return Action::transmit(m);
+  Action onRound(NodeId v, Round r) override {
+    std::uint8_t& f = flags_[v];
+    if (relayRound_[v] >= 0 && r == relayRound_[v] && !(f & kDecided)) {
+      f |= kDecided;
+      if (copies_[v] < threshold_) {
+        Message m;
+        m.kind = MsgKind::kData;
+        m.sender = v;
+        m.payload = payload_[v];
+        return Action::transmit(m);
+      }
+      return Action::sleep();  // suppressed
     }
-    suppressed_ = true;
+    if (!hasPayload(v)) return listenWithinBudget(r);
+    if (!(f & kDecided)) return Action::listen();  // overhear copies
     return Action::sleep();
   }
-  if (!hasPayload_)
-    return r >= maxListenRounds_ ? Action::sleep() : Action::listen();
-  if (!decided_) return Action::listen();  // counting window: overhear
-  return Action::sleep();
-}
 
-void CounterNodeProtocol::onReceive(const Message& m, Round r, Channel) {
-  if (m.kind != MsgKind::kData) return;
-  if (!hasPayload_) {
-    hasPayload_ = true;
-    payloadRound_ = r;
-    payload_ = m.payload;
-    copies_ = 1;
-    relayRound_ =
-        r + 1 + static_cast<Round>(rng_.uniform(
-                    static_cast<std::uint64_t>(cfg_.contentionWindow)));
-    return;
+  void onReceive(NodeId v, const Message& m, Round r, Channel) override {
+    if (m.kind != MsgKind::kData) return;
+    const bool counts =
+        positions_ == nullptr ||
+        distance((*positions_)[v], (*positions_)[m.sender]) <= radius_;
+    if (takePayload(v, m.payload, r)) {
+      if (positions_ != nullptr && counts) {
+        flags_[v] |= kDecided;  // covered from close by: never relay
+        return;
+      }
+      copies_[v] = counts ? 1 : 0;
+      Rng rng(seed_ ^ (static_cast<std::uint64_t>(v) * salt_));
+      relayRound_[v] = r + 1 + static_cast<Round>(rng.uniform(
+                                   static_cast<std::uint64_t>(window_)));
+      return;
+    }
+    if (!(flags_[v] & kDecided) && counts) ++copies_[v];
   }
-  if (!decided_) ++copies_;  // duplicate heard during the backoff
-}
 
-bool CounterNodeProtocol::isDone() const {
-  return hasPayload_ && decided_;
-}
+  bool isDone(NodeId v) const override {
+    return hasPayload(v) && (flags_[v] & kDecided);
+  }
 
-Round CounterNodeProtocol::nextWake(Round now) const {
-  if (hasPayload_ && !decided_) return now + 1;  // counting every round
-  if (!hasPayload_)
-    return now + 1 < maxListenRounds_ ? now + 1 : kNoWake;
-  return kNoWake;
-}
+  Round nextWake(NodeId v, Round now) const override {
+    if (!hasPayload(v)) return nextWakeWithinBudget(now);
+    if (!(flags_[v] & kDecided)) return now + 1;  // overhearing window
+    return kNoWake;
+  }
+
+ private:
+  /// The relay slot passed (sent or suppressed), or the node was
+  /// covered at its first receipt.
+  static constexpr std::uint8_t kDecided = 2;
+
+  int window_;
+  int threshold_;
+  const std::vector<Point2D>* positions_;
+  double radius_;
+  std::uint64_t seed_;
+  std::uint64_t salt_;
+  std::vector<Round> relayRound_;  ///< scheduled relay slot (-1 = none)
+  std::vector<int> copies_;        ///< counting copies heard so far
+};
+
+}  // namespace
 
 BroadcastRun runCounterBroadcast(const Graph& g, NodeId source,
                                  std::uint64_t payload,
                                  const CounterConfig& config,
                                  const ProtocolOptions& options) {
   DSN_REQUIRE(g.isAlive(source), "counter-broadcast source must be live");
-
-  const auto intended = reachableFrom(g, source);
-  const Round maxListen = listenBudget(g, config.contentionWindow, options);
-
-  SimConfig cfg;
-  cfg.channelCount = 1;
-  cfg.maxRounds = maxListen + 4;
-  cfg.traceCapacity = options.traceCapacity;
-  detail::applyScheduling(cfg, options);
-
-  RadioSimulator sim(g, cfg);
-  detail::applyFailures(sim, options);
-
-  std::vector<BroadcastEndpoint*> endpoints(g.size(), nullptr);
-  for (NodeId v : intended) {
-    auto proto = std::make_unique<CounterNodeProtocol>(
-        v, v == source, config, payload, maxListen);
-    endpoints[v] = proto.get();
-    sim.setProtocol(v, std::move(proto));
-  }
-
-  BroadcastRun run;
-  run.scheduleLength = maxListen;
-  run.sim = sim.run();
-  detail::collectDeliveryStats(sim, intended, endpoints, run);
-  return run;
-}
-
-// ---------------------------------------------------------------------
-// Distance-based suppression.
-
-DistanceNodeProtocol::DistanceNodeProtocol(
-    NodeId self, bool isSource, const DistanceConfig& cfg,
-    std::uint64_t payload, Round maxListenRounds,
-    const std::vector<Point2D>* positions)
-    : self_(self),
-      cfg_(cfg),
-      rng_(cfg.seed ^ (static_cast<std::uint64_t>(self) * 0xE703C6EF372109E5ull)),
-      hasPayload_(isSource),
-      payloadRound_(isSource ? 0 : -1),
-      maxListenRounds_(maxListenRounds),
-      payload_(payload),
-      positions_(positions) {
-  DSN_REQUIRE(cfg.contentionWindow >= 1, "contention window must be >= 1");
-  DSN_REQUIRE(cfg.suppressRadius >= 0.0, "suppress radius must be >= 0");
-  DSN_REQUIRE(positions != nullptr, "distance protocol needs positions");
-  if (isSource) relayRound_ = 0;
-}
-
-Action DistanceNodeProtocol::onRound(Round r) {
-  if (relayRound_ >= 0 && r == relayRound_ && !decided_) {
-    decided_ = true;
-    if (!suppressed_) {
-      Message m;
-      m.kind = MsgKind::kData;
-      m.sender = self_;
-      m.payload = payload_;
-      return Action::transmit(m);
-    }
-    return Action::sleep();
-  }
-  if (!hasPayload_)
-    return r >= maxListenRounds_ ? Action::sleep() : Action::listen();
-  if (!decided_) return Action::listen();  // overhear for closer copies
-  return Action::sleep();
-}
-
-void DistanceNodeProtocol::onReceive(const Message& m, Round r, Channel) {
-  if (m.kind != MsgKind::kData) return;
-  const double d =
-      distance((*positions_)[self_], (*positions_)[m.sender]);
-  if (!hasPayload_) {
-    hasPayload_ = true;
-    payloadRound_ = r;
-    payload_ = m.payload;
-    if (d <= cfg_.suppressRadius) {
-      decided_ = true;  // already covered from close by: never relay
-      suppressed_ = true;
-      return;
-    }
-    relayRound_ =
-        r + 1 + static_cast<Round>(rng_.uniform(
-                    static_cast<std::uint64_t>(cfg_.contentionWindow)));
-    return;
-  }
-  if (!decided_ && d <= cfg_.suppressRadius) suppressed_ = true;
-}
-
-bool DistanceNodeProtocol::isDone() const {
-  return hasPayload_ && decided_;
-}
-
-Round DistanceNodeProtocol::nextWake(Round now) const {
-  if (hasPayload_ && !decided_) return now + 1;  // overhearing window
-  if (!hasPayload_)
-    return now + 1 < maxListenRounds_ ? now + 1 : kNoWake;
-  return kNoWake;
+  DSN_REQUIRE(config.contentionWindow >= 1,
+              "contention window must be >= 1");
+  DSN_REQUIRE(config.counterThreshold >= 1,
+              "counter threshold must be >= 1");
+  const Round budget =
+      detail::flatListenBudget(g, config.contentionWindow, options);
+  return detail::runFlatRival(
+      g, source, budget,
+      std::make_unique<SuppressionSwarm>(
+          g.size(), source, payload, budget, config.contentionWindow,
+          config.counterThreshold, nullptr, 0.0, config.seed,
+          0x9FB21C651E98DF25ull),
+      options);
 }
 
 BroadcastRun runDistanceBroadcast(const Graph& g, NodeId source,
@@ -196,33 +134,18 @@ BroadcastRun runDistanceBroadcast(const Graph& g, NodeId source,
               "distance-based suppression needs a position for every node "
               "(SensorNetwork::broadcast fills ProtocolOptions::"
               "nodePositions; direct graph callers must set it)");
-
-  const auto intended = reachableFrom(g, source);
-  const Round maxListen = listenBudget(g, config.contentionWindow, options);
-
-  SimConfig cfg;
-  cfg.channelCount = 1;
-  cfg.maxRounds = maxListen + 4;
-  cfg.traceCapacity = options.traceCapacity;
-  detail::applyScheduling(cfg, options);
-
-  RadioSimulator sim(g, cfg);
-  detail::applyFailures(sim, options);
-
-  std::vector<BroadcastEndpoint*> endpoints(g.size(), nullptr);
-  for (NodeId v : intended) {
-    auto proto = std::make_unique<DistanceNodeProtocol>(
-        v, v == source, config, payload, maxListen,
-        &options.nodePositions);
-    endpoints[v] = proto.get();
-    sim.setProtocol(v, std::move(proto));
-  }
-
-  BroadcastRun run;
-  run.scheduleLength = maxListen;
-  run.sim = sim.run();
-  detail::collectDeliveryStats(sim, intended, endpoints, run);
-  return run;
+  DSN_REQUIRE(config.contentionWindow >= 1,
+              "contention window must be >= 1");
+  DSN_REQUIRE(config.suppressRadius >= 0.0, "suppress radius must be >= 0");
+  const Round budget =
+      detail::flatListenBudget(g, config.contentionWindow, options);
+  return detail::runFlatRival(
+      g, source, budget,
+      std::make_unique<SuppressionSwarm>(
+          g.size(), source, payload, budget, config.contentionWindow, 1,
+          &options.nodePositions, config.suppressRadius, config.seed,
+          0xE703C6EF372109E5ull),
+      options);
 }
 
 }  // namespace dsn

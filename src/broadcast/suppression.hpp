@@ -16,16 +16,12 @@
 // every round (they may receive), everyone else follows flooding's
 // schedule. Backoff draws come from a per-node RNG seeded off the
 // shared scheme seed, so runs are pure functions of (graph, source,
-// positions, seed) and scheduler-independent.
+// positions, seed) and scheduler-independent. Both rivals run one state
+// machine that differs only in its suppression test.
 #pragma once
-
-#include <vector>
 
 #include "broadcast/run_result.hpp"
 #include "graph/graph.hpp"
-#include "radio/protocol.hpp"
-#include "util/geometry.hpp"
-#include "util/rng.hpp"
 
 namespace dsn {
 
@@ -43,66 +39,6 @@ struct DistanceConfig {
   double suppressRadius = 25.0;
   int contentionWindow = 8;
   std::uint64_t seed = 0xD157A4CEull;
-};
-
-/// Counter-based suppression state machine.
-class CounterNodeProtocol : public NodeProtocol, public BroadcastEndpoint {
- public:
-  CounterNodeProtocol(NodeId self, bool isSource, const CounterConfig& cfg,
-                      std::uint64_t payload, Round maxListenRounds);
-
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override;
-  Round nextWake(Round now) const override;
-
-  bool hasPayload() const override { return hasPayload_; }
-  Round payloadRound() const override { return payloadRound_; }
-  bool suppressed() const { return suppressed_; }
-
- private:
-  NodeId self_;
-  CounterConfig cfg_;
-  Rng rng_;
-  bool hasPayload_;
-  Round payloadRound_;
-  Round relayRound_ = -1;
-  bool decided_ = false;  ///< the relay slot passed (sent or suppressed)
-  bool suppressed_ = false;
-  int copies_ = 0;  ///< duplicates heard before the relay slot
-  Round maxListenRounds_;
-  std::uint64_t payload_;
-};
-
-/// Distance-based suppression state machine. `positions` is borrowed and
-/// must outlive the protocol (indexed by node id, one entry per node).
-class DistanceNodeProtocol : public NodeProtocol, public BroadcastEndpoint {
- public:
-  DistanceNodeProtocol(NodeId self, bool isSource, const DistanceConfig& cfg,
-                       std::uint64_t payload, Round maxListenRounds,
-                       const std::vector<Point2D>* positions);
-
-  Action onRound(Round r) override;
-  void onReceive(const Message& m, Round r, Channel channel) override;
-  bool isDone() const override;
-  Round nextWake(Round now) const override;
-
-  bool hasPayload() const override { return hasPayload_; }
-  Round payloadRound() const override { return payloadRound_; }
-  bool suppressed() const { return suppressed_; }
-
- private:
-  NodeId self_;
-  DistanceConfig cfg_;
-  Rng rng_;
-  bool hasPayload_;
-  Round payloadRound_;
-  Round relayRound_ = -1;
-  bool decided_ = false;
-  bool suppressed_ = false;
-  Round maxListenRounds_;
-  std::uint64_t payload_;
-  const std::vector<Point2D>* positions_;
 };
 
 BroadcastRun runCounterBroadcast(const Graph& g, NodeId source,

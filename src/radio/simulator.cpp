@@ -66,7 +66,7 @@ void flushRunMetrics(const SimResult& r) {
 RadioSimulator::RadioSimulator(const Graph& graph, SimConfig config)
     : graph_(graph),
       config_(config),
-      protocols_(graph.size()),
+      member_(graph.size(), 0),
       energy_(graph.size()),
       trace_(config.traceCapacity) {
   DSN_REQUIRE(config_.channelCount >= 1 &&
@@ -75,44 +75,24 @@ RadioSimulator::RadioSimulator(const Graph& graph, SimConfig config)
   DSN_REQUIRE(config_.maxRounds > 0, "maxRounds must be positive");
 }
 
-void RadioSimulator::setProtocol(NodeId v,
-                                 std::unique_ptr<NodeProtocol> protocol) {
-  DSN_REQUIRE(graph_.isAlive(v), "protocol target node must be live");
-  DSN_REQUIRE(!ran_, "cannot install protocols after run()");
-  DSN_REQUIRE(!swarm_, "setProtocol and setSwarm are mutually exclusive");
-  protocols_[v] = std::move(protocol);
-}
-
 void RadioSimulator::setSwarm(std::unique_ptr<SwarmProtocol> swarm,
                               const std::vector<NodeId>& members) {
-  DSN_REQUIRE(!ran_, "cannot install protocols after run()");
+  DSN_REQUIRE(!ran_, "cannot install a swarm after run()");
   DSN_REQUIRE(swarm != nullptr, "setSwarm: null swarm");
-  for (const auto& p : protocols_)
-    DSN_REQUIRE(!p, "setProtocol and setSwarm are mutually exclusive");
-  swarm_ = std::move(swarm);
-  swarmMember_.assign(graph_.size(), 0);
   for (const NodeId v : members) {
-    DSN_REQUIRE(v < swarmMember_.size(), "swarm member id out of range");
+    DSN_REQUIRE(v < member_.size(), "swarm member id out of range");
     DSN_REQUIRE(graph_.isAlive(v), "swarm member node must be live");
-    swarmMember_[v] = 1;
   }
-}
-
-NodeProtocol* RadioSimulator::protocol(NodeId v) {
-  DSN_REQUIRE(v < protocols_.size(), "protocol: node id out of range");
-  return protocols_[v].get();
-}
-
-const NodeProtocol* RadioSimulator::protocol(NodeId v) const {
-  DSN_REQUIRE(v < protocols_.size(), "protocol: node id out of range");
-  return protocols_[v].get();
+  std::fill(member_.begin(), member_.end(), 0);
+  for (const NodeId v : members) member_[v] = 1;
+  swarm_ = std::move(swarm);
 }
 
 bool RadioSimulator::allDone(Round r) const {
   for (NodeId v = 0; v < graph_.size(); ++v) {
-    if (!nodePresent(v)) continue;
+    if (!member_[v]) continue;
     if (!graph_.isAlive(v) || failures_.isDead(v, r)) continue;
-    if (!nodeIsDone(v)) return false;
+    if (!swarm_->isDone(v)) return false;
   }
   return true;
 }
@@ -126,7 +106,7 @@ bool RadioSimulator::allDone(Round r) const {
 // loops used to, in the same order — the engine split only moved the
 // loop-carried state into members so the loop can pause.
 
-/// The original full-scan loop: scan all V protocols every round. Kept
+/// The original full-scan loop: scan all V nodes every round. Kept
 /// as the differential oracle; per-round state is just the action
 /// buffer, so pausing is trivial.
 class FullScanEngine : public SimEngine {
@@ -168,12 +148,12 @@ void FullScanEngine::advanceTo(Round stop) {
       return;
     }
 
-    // Phase 1: collect actions from live, non-failed protocol nodes.
+    // Phase 1: collect actions from live, non-failed members.
     for (NodeId v = 0; v < sim.graph_.size(); ++v) {
       actions_[v] = Action::sleep();
-      if (!sim.nodePresent(v) || !sim.graph_.isAlive(v)) continue;
+      if (!sim.member_[v] || !sim.graph_.isAlive(v)) continue;
       if (sim.failures_.isDead(v, r)) continue;
-      actions_[v] = sim.nodeOnRound(v, r);
+      actions_[v] = sim.swarm_->onRound(v, r);
 
       if (actions_[v].type == Action::Type::kTransmit) {
         sim.energy_.recordTransmit(v);
@@ -227,7 +207,7 @@ void FullScanEngine::advanceTo(Round stop) {
       recordRadio(sim.trace_, frRadio_, frSampled,
                   frEvent(obs::FrType::kDelivery, r, d.receiver,
                           d.transmitter, d.channel, frKind(m.kind)));
-      sim.nodeOnReceive(d.receiver, m, r, d.channel);
+      sim.swarm_->onReceive(d.receiver, m, r, d.channel);
     }
 
     result.rounds = r + 1;
@@ -275,7 +255,7 @@ class ActiveSetEngine : public SimEngine {
   const CsrView* csr_ = nullptr;
   std::size_t n_ = 0;
   std::vector<Action> actions_;
-  // pending = live protocol nodes that still block completion; a node is
+  // pending = live members that still block completion; a node is
   // `resolved` once it reports done or its scheduled death round passes
   // (allDone ignores dead nodes). isDone is monotone by contract, so a
   // node is counted out at most once per seed.
@@ -316,7 +296,7 @@ void ActiveSetEngine::seed(Round from) {
   wake_.reset(n_, from, sim.config_.maxRounds);
 
   for (NodeId v = 0; v < n_; ++v) {
-    if (!sim.nodePresent(v) || !sim.graph_.isAlive(v)) {
+    if (!sim.member_[v] || !sim.graph_.isAlive(v)) {
       resolved_[v] = 1;
       continue;
     }
@@ -326,12 +306,12 @@ void ActiveSetEngine::seed(Round from) {
       resolved_[v] = 1;
       continue;
     }
-    if (sim.nodeIsDone(v)) {
+    if (sim.swarm_->isDone(v)) {
       resolved_[v] = 1;
     } else {
       ++pending_;
     }
-    const Round nw = sim.nodeNextWake(v, from - 1);
+    const Round nw = sim.swarm_->nextWake(v, from - 1);
     if (nw != kNoWake) {
       DSN_REQUIRE(nw >= from, "nextWake must not name a past round");
       wake_.push(v, nw);
@@ -340,7 +320,7 @@ void ActiveSetEngine::seed(Round from) {
 
   deaths_.clear();
   for (const auto& [v, dr] : sim.failures_.deathSchedule()) {
-    if (v < n_ && dr > from && sim.nodePresent(v) && sim.graph_.isAlive(v)) {
+    if (v < n_ && dr > from && sim.member_[v] && sim.graph_.isAlive(v)) {
       deaths_.emplace_back(dr, v);
     }
   }
@@ -419,7 +399,7 @@ void ActiveSetEngine::advanceTo(Round stop) {
       if (sim.failures_.isDead(v, r)) continue;  // dead: never re-queued
       if (frSched_ && frSampled)
         frSched_->record(frEvent(obs::FrType::kWakePop, r, v));
-      actions[v] = sim.nodeOnRound(v, r);
+      actions[v] = sim.swarm_->onRound(v, r);
 
       if (actions[v].type == Action::Type::kTransmit) {
         sim.energy_.recordTransmit(v);
@@ -484,7 +464,7 @@ void ActiveSetEngine::advanceTo(Round stop) {
                   frEvent(obs::FrType::kDelivery, r, d.receiver,
                           d.transmitter, d.channel, frKind(m.kind)));
       ++roundDeliveries;
-      sim.nodeOnReceive(d.receiver, m, r, d.channel);
+      sim.swarm_->onReceive(d.receiver, m, r, d.channel);
     }
 
     // Post-round: retire freshly-done nodes, re-queue the rest. Only
@@ -493,11 +473,11 @@ void ActiveSetEngine::advanceTo(Round stop) {
     for (const NodeId v : active) {
       actions[v] = Action::sleep();
       if (sim.failures_.isDead(v, r)) continue;
-      if (!resolved_[v] && sim.nodeIsDone(v)) {
+      if (!resolved_[v] && sim.swarm_->isDone(v)) {
         resolved_[v] = 1;
         --pending_;
       }
-      const Round nw = sim.nodeNextWake(v, r);
+      const Round nw = sim.swarm_->nextWake(v, r);
       if (nw != kNoWake) {
         DSN_REQUIRE(nw > r, "nextWake must name a future round");
         wake.push(v, nw);
@@ -569,8 +549,7 @@ void RadioSimulator::resyncTopology() {
   DSN_REQUIRE(engine_ != nullptr, "resyncTopology: run not started");
   DSN_REQUIRE(!engine_->done(), "resyncTopology: the run already finished");
   const std::size_t n = graph_.size();
-  if (protocols_.size() < n) protocols_.resize(n);
-  if (swarm_ && swarmMember_.size() < n) swarmMember_.resize(n, 0);
+  if (member_.size() < n) member_.resize(n, 0);
   energy_.growTo(n);
   engine_->resync();
 }

@@ -1,8 +1,9 @@
 // The synchronous round-based radio simulator.
 //
-// Drives one NodeProtocol per node over the flat WSN graph until every
-// live node reports done (or a round budget is exhausted), resolving
-// collisions per the paper's model each round and metering energy.
+// Drives one SwarmProtocol over its member nodes of the flat WSN graph
+// until every live member reports done (or a round budget is exhausted),
+// resolving collisions per the paper's model each round and metering
+// energy.
 //
 // Failure injection happens here: dead nodes neither act nor receive;
 // dropped transmissions consume energy but never reach the air.
@@ -30,7 +31,7 @@ enum class SimScheduling {
   /// names the round, channel resolution only touches neighbors of
   /// actual transmitters, and idle round spans are skipped outright.
   kActiveSet,
-  /// The original loop: scan all V protocols every round and resolve the
+  /// The original loop: scan all V nodes every round and resolve the
   /// channel over the whole graph.
   kFullScan,
 };
@@ -119,26 +120,18 @@ class SimEngine {
   bool done_ = false;
 };
 
-/// Owns the protocols and runs the round loop.
+/// Owns the run's protocol and runs the round loop.
 class RadioSimulator {
  public:
   /// The graph is borrowed and must outlive the simulator.
   RadioSimulator(const Graph& graph, SimConfig config);
 
-  /// Installs node `v`'s protocol. Every live node that should act needs
-  /// one; nodes without a protocol sleep forever (and count as done).
-  void setProtocol(NodeId v, std::unique_ptr<NodeProtocol> protocol);
-
-  /// Installs ONE structure-of-arrays protocol driving every node in
-  /// `members`. Mutually exclusive with setProtocol; nodes outside
-  /// `members` sleep forever. The simulator owns the swarm.
+  /// Installs the run's protocol: ONE swarm driving every node in
+  /// `members`, which must be live node ids of the graph. Nodes outside
+  /// `members` sleep forever (and count as done); so does every node
+  /// when no swarm is installed. The simulator owns the swarm.
   void setSwarm(std::unique_ptr<SwarmProtocol> swarm,
                 const std::vector<NodeId>& members);
-
-  NodeProtocol* protocol(NodeId v);
-  const NodeProtocol* protocol(NodeId v) const;
-  SwarmProtocol* swarm() { return swarm_.get(); }
-  const SwarmProtocol* swarm() const { return swarm_.get(); }
 
   FailureModel& failures() { return failures_; }
   const FailureModel& failures() const { return failures_; }
@@ -162,9 +155,9 @@ class RadioSimulator {
   /// The next round a paused run would execute.
   Round cursor() const { return engine_ ? engine_->cursor() : 0; }
   /// Re-syncs a paused run after external mutation: grows per-node state
-  /// for freshly added ids (which sleep forever unless they are swarm
-  /// members) and re-seeds the engine's wake structures from the
-  /// protocols' nextWake hints.
+  /// for freshly added ids (which are not swarm members, so they sleep
+  /// forever) and re-seeds the engine's wake structures from the
+  /// swarm's nextWake hints.
   void resyncTopology();
 
   const EnergyMeter& energy() const { return energy_; }
@@ -174,35 +167,15 @@ class RadioSimulator {
  private:
   const Graph& graph_;
   SimConfig config_;
-  std::vector<std::unique_ptr<NodeProtocol>> protocols_;
   std::unique_ptr<SwarmProtocol> swarm_;
-  std::vector<std::uint8_t> swarmMember_;
+  // Swarm membership by node id, sized to the graph; the engines call
+  // swarm_ only for members, so an empty run never dereferences it.
+  std::vector<std::uint8_t> member_;
   FailureModel failures_;
   EnergyMeter energy_;
   Trace trace_;
   bool ran_ = false;
   std::unique_ptr<SimEngine> engine_;
-
-  // Node dispatch: one seam over the two protocol representations so
-  // every scheduler drives object-per-node and swarm nodes identically.
-  bool nodePresent(NodeId v) const {
-    return swarm_ ? swarmMember_[v] != 0 : protocols_[v] != nullptr;
-  }
-  Action nodeOnRound(NodeId v, Round r) {
-    return swarm_ ? swarm_->onRound(v, r) : protocols_[v]->onRound(r);
-  }
-  void nodeOnReceive(NodeId v, const Message& m, Round r, Channel c) {
-    if (swarm_)
-      swarm_->onReceive(v, m, r, c);
-    else
-      protocols_[v]->onReceive(m, r, c);
-  }
-  bool nodeIsDone(NodeId v) const {
-    return swarm_ ? swarm_->isDone(v) : protocols_[v]->isDone();
-  }
-  Round nodeNextWake(NodeId v, Round now) const {
-    return swarm_ ? swarm_->nextWake(v, now) : protocols_[v]->nextWake(now);
-  }
 
   bool allDone(Round r) const;
 

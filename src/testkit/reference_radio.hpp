@@ -5,8 +5,11 @@
 //  1. buildCffPlan / runCffPlan — the Algorithm-1 schedule assembly of
 //     runCffBroadcast, split out so a test can corrupt the plan (inject a
 //     slot-assignment bug) and run the corrupted plan through the REAL
-//     RadioSimulator. This is the seam the "deliberately injected bug is
-//     caught and shrunk" acceptance check uses.
+//     RadioSimulator. runCffPlan drives the per-object reference state
+//     machines (testkit/cff_node_protocol.hpp) through a small adapter
+//     swarm, independent of the production CffSwarm. This is the seam
+//     the "deliberately injected bug is caught and shrunk" acceptance
+//     check uses.
 //  2. runCffPlanReference — a naive O(V·E)-per-round simulator that drives
 //     the same CffNodeProtocol state machines but recomputes every
 //     delivery and collision from first principles (scan each listener's
@@ -22,9 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "broadcast/cff_flooding.hpp"
+#include "broadcast/run_result.hpp"
 #include "cluster/cnet.hpp"
 #include "radio/trace.hpp"
+#include "testkit/cff_node_protocol.hpp"
 
 namespace dsn::testkit {
 

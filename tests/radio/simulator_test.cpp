@@ -7,46 +7,64 @@
 namespace dsn {
 namespace {
 
-/// Transmits one frame at a fixed round, then is done.
-class OneShotTransmitter : public NodeProtocol {
+/// Two scripted roles, keyed by node id. A transmitter sends one frame at
+/// a fixed round and is then done; every other member listens until it
+/// receives anything, then is done.
+class ScriptSwarm : public SwarmProtocol {
  public:
-  OneShotTransmitter(NodeId self, Round when) : self_(self), when_(when) {}
-  Action onRound(Round r) override {
-    if (r == when_) {
-      Message m;
-      m.sender = self_;
-      m.payload = 77;
-      sent_ = true;
-      return Action::transmit(m);
-    }
-    return Action::sleep();
+  explicit ScriptSwarm(std::size_t nodeCount)
+      : sendAt_(nodeCount, -1),
+        sent_(nodeCount, false),
+        got_(nodeCount, false),
+        payload_(nodeCount, 0),
+        receivedAt_(nodeCount, -1) {}
+
+  /// Makes `v` a transmitter of one frame in round `when`.
+  void transmitAt(NodeId v, Round when) { sendAt_[v] = when; }
+
+  Action onRound(NodeId v, Round r) override {
+    if (sendAt_[v] < 0) return got_[v] ? Action::sleep() : Action::listen();
+    if (r != sendAt_[v]) return Action::sleep();
+    Message m;
+    m.sender = v;
+    m.payload = 77;
+    sent_[v] = true;
+    return Action::transmit(m);
   }
-  void onReceive(const Message&, Round, Channel) override {}
-  bool isDone() const override { return sent_; }
+  void onReceive(NodeId v, const Message& m, Round r, Channel) override {
+    if (sendAt_[v] >= 0) return;
+    got_[v] = true;
+    payload_[v] = m.payload;
+    receivedAt_[v] = r;
+  }
+  bool isDone(NodeId v) const override {
+    return sendAt_[v] >= 0 ? sent_[v] : got_[v];
+  }
+
+  bool got(NodeId v) const { return got_[v]; }
+  std::uint64_t payload(NodeId v) const { return payload_[v]; }
+  Round receivedAt(NodeId v) const { return receivedAt_[v]; }
 
  private:
-  NodeId self_;
-  Round when_;
-  bool sent_ = false;
+  std::vector<Round> sendAt_;
+  std::vector<bool> sent_;
+  std::vector<bool> got_;
+  std::vector<std::uint64_t> payload_;
+  std::vector<Round> receivedAt_;
 };
 
-/// Listens until it receives anything, then is done.
-class ListenUntilReceive : public NodeProtocol {
- public:
-  Action onRound(Round) override {
-    return got_ ? Action::sleep() : Action::listen();
-  }
-  void onReceive(const Message& m, Round r, Channel) override {
-    got_ = true;
-    payload_ = m.payload;
-    receivedAt_ = r;
-  }
-  bool isDone() const override { return got_; }
-
-  bool got_ = false;
-  std::uint64_t payload_ = 0;
-  Round receivedAt_ = -1;
-};
+/// Installs a ScriptSwarm over `members` in which each (node, round) of
+/// `tx` transmits at that round and every other member listens. Returns
+/// the swarm, which the simulator owns.
+const ScriptSwarm* install(RadioSimulator& sim, std::size_t nodeCount,
+                           const std::vector<NodeId>& members,
+                           const std::vector<std::pair<NodeId, Round>>& tx) {
+  auto swarm = std::make_unique<ScriptSwarm>(nodeCount);
+  for (const auto& [v, when] : tx) swarm->transmitAt(v, when);
+  const ScriptSwarm* s = swarm.get();
+  sim.setSwarm(std::move(swarm), members);
+  return s;
+}
 
 Graph pair() {
   Graph g(2);
@@ -57,16 +75,13 @@ Graph pair() {
 TEST(SimulatorTest, DeliversBetweenTwoNodes) {
   const Graph g = pair();
   RadioSimulator sim(g, SimConfig{});
-  sim.setProtocol(0, std::make_unique<OneShotTransmitter>(0, 2));
-  auto listener = std::make_unique<ListenUntilReceive>();
-  auto* lp = listener.get();
-  sim.setProtocol(1, std::move(listener));
+  const ScriptSwarm* s = install(sim, 2, {0, 1}, {{0, 2}});
 
   const SimResult r = sim.run();
   EXPECT_TRUE(r.completed);
-  EXPECT_TRUE(lp->got_);
-  EXPECT_EQ(lp->payload_, 77u);
-  EXPECT_EQ(lp->receivedAt_, 2);
+  EXPECT_TRUE(s->got(1));
+  EXPECT_EQ(s->payload(1), 77u);
+  EXPECT_EQ(s->receivedAt(1), 2);
   EXPECT_EQ(r.totalTransmissions, 1u);
   EXPECT_EQ(r.totalDeliveries, 1u);
   EXPECT_EQ(r.rounds, 3);  // rounds 0,1,2 executed; done detected at 3
@@ -75,8 +90,7 @@ TEST(SimulatorTest, DeliversBetweenTwoNodes) {
 TEST(SimulatorTest, EnergyAccounting) {
   const Graph g = pair();
   RadioSimulator sim(g, SimConfig{});
-  sim.setProtocol(0, std::make_unique<OneShotTransmitter>(0, 2));
-  sim.setProtocol(1, std::make_unique<ListenUntilReceive>());
+  install(sim, 2, {0, 1}, {{0, 2}});
   sim.run();
   EXPECT_EQ(sim.energy().node(0).transmitRounds, 1u);
   EXPECT_EQ(sim.energy().node(0).listenRounds, 0u);
@@ -91,8 +105,8 @@ TEST(SimulatorTest, NodesWithoutProtocolSleep) {
   g.addEdge(0, 1);
   g.addEdge(1, 2);
   RadioSimulator sim(g, SimConfig{});
-  sim.setProtocol(0, std::make_unique<OneShotTransmitter>(0, 0));
-  // Nodes 1 and 2 have no protocol; run ends after 0 transmits.
+  install(sim, 3, {0}, {{0, 0}});
+  // Nodes 1 and 2 are not swarm members; run ends after 0 transmits.
   const SimResult r = sim.run();
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.totalDeliveries, 0u);
@@ -103,7 +117,7 @@ TEST(SimulatorTest, MaxRoundsStopsHangingProtocol) {
   SimConfig cfg;
   cfg.maxRounds = 10;
   RadioSimulator sim(g, cfg);
-  sim.setProtocol(1, std::make_unique<ListenUntilReceive>());  // never gets
+  install(sim, 2, {1}, {});  // a listener that never gets anything
   const SimResult r = sim.run();
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.rounds, 10);
@@ -119,40 +133,31 @@ TEST(SimulatorTest, RunTwiceRejected) {
 TEST(SimulatorTest, DeadNodeNeitherActsNorReceives) {
   const Graph g = pair();
   RadioSimulator sim(g, SimConfig{});
-  sim.setProtocol(0, std::make_unique<OneShotTransmitter>(0, 1));
-  auto listener = std::make_unique<ListenUntilReceive>();
-  auto* lp = listener.get();
-  sim.setProtocol(1, std::move(listener));
+  const ScriptSwarm* s = install(sim, 2, {0, 1}, {{0, 1}});
   sim.failures().killAt(1, 0);
   const SimResult r = sim.run();
   EXPECT_TRUE(r.completed);  // dead node doesn't block completion
-  EXPECT_FALSE(lp->got_);
+  EXPECT_FALSE(s->got(1));
   EXPECT_EQ(sim.energy().node(1).listenRounds, 0u);
 }
 
 TEST(SimulatorTest, DeathMidRunStopsParticipation) {
   const Graph g = pair();
   RadioSimulator sim(g, SimConfig{});
-  sim.setProtocol(0, std::make_unique<OneShotTransmitter>(0, 5));
-  auto listener = std::make_unique<ListenUntilReceive>();
-  auto* lp = listener.get();
-  sim.setProtocol(1, std::move(listener));
+  const ScriptSwarm* s = install(sim, 2, {0, 1}, {{0, 5}});
   sim.failures().killAt(1, 3);  // dies before the round-5 transmission
   sim.run();
-  EXPECT_FALSE(lp->got_);
+  EXPECT_FALSE(s->got(1));
   EXPECT_EQ(sim.energy().node(1).listenRounds, 3u);  // rounds 0..2
 }
 
 TEST(SimulatorTest, DroppedTransmissionCostsEnergyButNothingArrives) {
   const Graph g = pair();
   RadioSimulator sim(g, SimConfig{});
-  sim.setProtocol(0, std::make_unique<OneShotTransmitter>(0, 0));
-  auto listener = std::make_unique<ListenUntilReceive>();
-  auto* lp = listener.get();
-  sim.setProtocol(1, std::move(listener));
+  const ScriptSwarm* s = install(sim, 2, {0, 1}, {{0, 0}});
   sim.failures().setDropProbability(1.0);
   const SimResult r = sim.run();
-  EXPECT_FALSE(lp->got_);
+  EXPECT_FALSE(s->got(1));
   EXPECT_EQ(r.droppedTransmissions, 1u);
   EXPECT_EQ(r.totalTransmissions, 0u);  // never went on air
   EXPECT_EQ(sim.energy().node(0).transmitRounds, 1u);  // energy spent
@@ -163,8 +168,7 @@ TEST(SimulatorTest, TraceRecordsEvents) {
   SimConfig cfg;
   cfg.traceCapacity = 100;
   RadioSimulator sim(g, cfg);
-  sim.setProtocol(0, std::make_unique<OneShotTransmitter>(0, 0));
-  sim.setProtocol(1, std::make_unique<ListenUntilReceive>());
+  install(sim, 2, {0, 1}, {{0, 0}});
   sim.run();
   EXPECT_EQ(sim.trace().countOf(obs::FrType::kTransmit), 1u);
   EXPECT_EQ(sim.trace().countOf(obs::FrType::kDelivery), 1u);
@@ -187,8 +191,22 @@ TEST(SimulatorTest, ProtocolAfterRunRejected) {
   const Graph g = pair();
   RadioSimulator sim(g, SimConfig{});
   sim.run();
-  EXPECT_THROW(sim.setProtocol(0, std::make_unique<ListenUntilReceive>()),
-               PreconditionError);
+  EXPECT_THROW(install(sim, 2, {0}, {}), PreconditionError);
+}
+
+TEST(SimulatorTest, SetSwarmRejectsBadInstalls) {
+  Graph g(3);
+  g.addEdge(0, 1);
+  g.addEdge(1, 2);
+  g.removeNode(2);
+  RadioSimulator sim(g, SimConfig{});
+  EXPECT_THROW(sim.setSwarm(nullptr, {0, 1}), PreconditionError);
+  EXPECT_THROW(install(sim, 3, {0, 3}, {}), PreconditionError);  // past n
+  EXPECT_THROW(install(sim, 3, {0, 2}, {}), PreconditionError);  // dead
+  // A rejected install leaves the simulator usable: a valid one runs.
+  const ScriptSwarm* s = install(sim, 3, {0, 1}, {{0, 0}});
+  EXPECT_TRUE(sim.run().completed);
+  EXPECT_TRUE(s->got(1));
 }
 
 TEST(SimulatorTest, CollisionObservedInTrace) {
@@ -199,14 +217,10 @@ TEST(SimulatorTest, CollisionObservedInTrace) {
   cfg.traceCapacity = 100;
   cfg.maxRounds = 20;  // listener starves; don't run the default budget
   RadioSimulator sim(g, cfg);
-  sim.setProtocol(0, std::make_unique<OneShotTransmitter>(0, 0));
-  sim.setProtocol(2, std::make_unique<OneShotTransmitter>(2, 0));
-  auto listener = std::make_unique<ListenUntilReceive>();
-  auto* lp = listener.get();
-  sim.setProtocol(1, std::move(listener));
+  const ScriptSwarm* s = install(sim, 3, {0, 1, 2}, {{0, 0}, {2, 0}});
   SimResult r = sim.run();
   EXPECT_FALSE(r.completed);  // listener starves (hits maxRounds)...
-  EXPECT_FALSE(lp->got_);
+  EXPECT_FALSE(s->got(1));
   EXPECT_EQ(sim.trace().countOf(obs::FrType::kCollision), 1u);
 }
 

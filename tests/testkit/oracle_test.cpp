@@ -33,7 +33,7 @@ NodeId nonRootSource(const SensorNetwork& net) {
 
 TEST(CffSwarmTest, SwarmRunMatchesPerObjectPlanRunExactly) {
   // runCffBroadcast drives one SoA CffSwarm; runCffPlan drives the
-  // legacy per-object CffNodeProtocol machines from the identical plan.
+  // reference per-object CffNodeProtocol machines from the identical plan.
   // Same schedule, same simulator: the runs must agree event for event —
   // this pins the SoA port to the original state machine.
   for (std::uint64_t seed : {std::uint64_t{5}, std::uint64_t{23},
