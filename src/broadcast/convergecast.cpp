@@ -131,10 +131,7 @@ GatherResult runConvergecast(const ClusterNet& net,
   DSN_REQUIRE(net.netSize() > 0, "convergecast on an empty net");
   const Graph& g = net.graph();
 
-  int maxDepth = 0;
-  for (NodeId v : net.netNodes())
-    maxDepth = std::max(maxDepth, static_cast<int>(net.depth(v)));
-
+  const int maxDepth = net.height();
   const TimeSlot window = net.rootMaxUpSlot();
   const TdmMap tdm(window == 0 ? 1 : window, options.channels);
   const Round schedule =

@@ -62,14 +62,9 @@ Depth ClusterNet::depth(NodeId v) const {
   return know_[v].depth;
 }
 
-int ClusterNet::heightOf(NodeId v) const {
-  requireInNet(v, "heightOf");
-  return know_[v].height;
-}
-
 int ClusterNet::height() const {
   DSN_REQUIRE(root_ != kInvalidNode, "height: empty cluster net");
-  return know_[root_].height;
+  return static_cast<int>(depthCount_.size()) - 1;
 }
 
 bool ClusterNet::isBackbone(NodeId v) const {
@@ -205,20 +200,47 @@ std::vector<NodeId> ClusterNet::netNeighbors(NodeId v) const {
   return out;
 }
 
-void ClusterNet::refreshHeightsFrom(NodeId start) {
-  // Bottom-up exact recompute along the root path; each hop is one
-  // "updating your height" message (paper Section 5.1, step 2).
-  NodeId v = start;
-  std::int64_t hops = 0;
-  while (v != kInvalidNode) {
-    NodeKnowledge& k = know_[v];
-    int h = 0;
-    for (NodeId c : k.children) h = std::max(h, know_[c].height + 1);
-    k.height = h;
-    v = k.parent;
-    ++hops;
+bool ClusterNet::canMoveIn(NodeId v) const {
+  if (netSize_ == 0) return true;
+  for (NodeId u : graph_.neighbors(v))
+    if (contains(u)) return true;
+  return false;
+}
+
+std::size_t ClusterNet::moveInReachable(std::vector<NodeId>& pending) {
+  std::size_t admitted = 0;
+  if (netSize_ == 0) {
+    NodeId seed = kInvalidNode;
+    for (NodeId t : pending)
+      if (graph_.isAlive(t)) seed = std::min(seed, t);
+    if (seed == kInvalidNode) return 0;
+    moveIn(seed);
+    pending.erase(std::find(pending.begin(), pending.end(), seed));
+    ++admitted;
   }
-  costs_.rootPath += hops;
+  // A dead node has no graph neighbors, so it never passes canMoveIn on
+  // the now non-empty net.
+  for (bool progress = true; progress;) {
+    progress = false;
+    std::size_t kept = 0;
+    for (NodeId t : pending) {
+      if (canMoveIn(t)) {
+        moveIn(t);
+        ++admitted;
+        progress = true;
+      } else {
+        pending[kept++] = t;
+      }
+    }
+    pending.resize(kept);
+  }
+  return admitted;
+}
+
+void ClusterNet::chargeRootPath(NodeId start) {
+  // Each hop is one "updating your height" message (paper Section 5.1,
+  // step 2); the height itself follows from the per-depth counts.
+  costs_.rootPath += know_[start].depth + 1;
 }
 
 void ClusterNet::reportSlotToRoot(TimeSlot b, TimeSlot l, TimeSlot u) {
@@ -228,7 +250,7 @@ void ClusterNet::reportSlotToRoot(TimeSlot b, TimeSlot l, TimeSlot u) {
     rootMaxB_ = std::max(rootMaxB_, b);
     rootMaxL_ = std::max(rootMaxL_, l);
     rootMaxU_ = std::max(rootMaxU_, u);
-    costs_.rootPath += root_ != kInvalidNode ? know_[root_].height : 0;
+    costs_.rootPath += root_ != kInvalidNode ? height() : 0;
   }
 }
 

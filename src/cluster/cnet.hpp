@@ -82,9 +82,21 @@ class ClusterNet {
   /// The first insertion makes `v` the root (a cluster-head). Later
   /// insertions require `v` to have at least one neighbor already in the
   /// net (Definition 1). Returns the chosen parent (kInvalidNode for the
-  /// root). Updates time-slots, depths, heights, root knowledge and relay
-  /// lists, and meters rounds into costs().
+  /// root). Updates time-slots, depths, the per-depth node counts, root
+  /// knowledge and relay lists, and meters rounds into costs().
   NodeId moveIn(NodeId v);
+
+  /// True when moveIn(v) may run now: the net is empty (v would become
+  /// the root) or v has a neighbor inside the net. Allocation-free.
+  bool canMoveIn(NodeId v) const;
+
+  /// The re-join sweep behind construction, rebuild, move-out and crash
+  /// recovery. On an empty net it first seeds the root with the lowest
+  /// live id in `pending` (DESIGN.md §4(3)). It then sweeps `pending` in
+  /// order, moving in every node with a net neighbor, until a sweep
+  /// admits no one. The nodes it could not admit stay in `pending`, in
+  /// order. Returns the number of nodes moved in.
+  std::size_t moveInReachable(std::vector<NodeId>& pending);
 
   /// node-move-out: removes `v` from the structure *and the graph*,
   /// re-inserting its detached subtree (Section 5.2). Root departure
@@ -125,9 +137,7 @@ class ClusterNet {
   NodeId parent(NodeId v) const;
   const std::vector<NodeId>& children(NodeId v) const;
   Depth depth(NodeId v) const;
-  /// Height of v's subtree (0 for leaves).
-  int heightOf(NodeId v) const;
-  /// Height of CNet(G) = root subtree height.
+  /// Height of CNet(G): the deepest depth any net node sits at.
   int height() const;
 
   bool isBackbone(NodeId v) const;
@@ -230,6 +240,9 @@ class ClusterNet {
   TimeSlot rootMaxU_ = 0;
   TimeSlot rootMaxUp_ = 0;
   std::size_t peakDegree_ = 0;
+  /// depthCount_[d] = net nodes at depth d. The last entry is never 0,
+  /// so the height is depthCount_.size() - 1.
+  std::vector<std::size_t> depthCount_;
   RoundCost costs_;
   Rng attachRng_;
 
@@ -250,9 +263,9 @@ class ClusterNet {
   NodeId selectCandidate(const std::vector<NodeId>& candidates);
   /// Net neighbors of v in G (live + inNet).
   std::vector<NodeId> netNeighbors(NodeId v) const;
-  /// Recomputes heights bottom-up along the path from `start` to the
-  /// root using children's stored heights; meters `pathRounds`.
-  void refreshHeightsFrom(NodeId start);
+  /// Meters the "updating your height" messages on the path from
+  /// `start` to the root: one per hop, depth(start) + 1 in all.
+  void chargeRootPath(NodeId start);
   void reportSlotToRoot(TimeSlot b, TimeSlot l, TimeSlot u = 0);
 
   // -- time-slot machinery (timeslots.cpp) --

@@ -1,11 +1,13 @@
 // Per-node local knowledge record.
 //
 // Mirrors the paper's knowledge (I) + (II) (Section 5): tree links,
-// status, depth, subtree height, the two transmission time-slots, and —
-// for multicast (Section 3.4) — the group-list and relay-list. All
-// algorithms in dsn_cluster read and write only these records (plus the
-// neighbor lists of the flat graph), so they remain faithful to the
-// distributed model even though they execute inside one process.
+// status, depth, the transmission time-slots, and — for multicast
+// (Section 3.4) — the group-list and relay-list. Height is not stored
+// per node: ClusterNet derives the net's height from per-depth node
+// counts. All algorithms in dsn_cluster read and write only these
+// records (plus the neighbor lists of the flat graph), so they remain
+// faithful to the distributed model even though they execute inside one
+// process.
 #pragma once
 
 #include <vector>
@@ -27,7 +29,6 @@ struct NodeKnowledge {
   NodeId parent = kInvalidNode;       ///< parent in CNet; invalid at root
   std::vector<NodeId> children;       ///< children in CNet
   Depth depth = kNoDepth;             ///< root has depth 0
-  int height = 0;                     ///< height of this node's subtree
 
   /// Transmission slot for the backbone flood (Algorithm 2, step 1).
   TimeSlot bSlot = kNoSlot;

@@ -6,8 +6,10 @@
 //   (c) else (only pure-members)  -> the chosen member is *promoted* to
 //       gateway and new becomes a head under it.
 // Afterwards: Algorithm 3 restores the time-slot conditions, the depth of
-// new is parent+1, heights refresh along the root path, and the largest
-// revised slots travel to the root (Theorem 2(2): +2h + 2d + D rounds).
+// new is parent+1, the height update travels the root path (metered per
+// hop; the height itself follows from the per-depth node counts), and the
+// largest revised slots travel to the root (Theorem 2(2): +2h + 2d + D
+// rounds).
 
 #include <algorithm>
 
@@ -37,9 +39,9 @@ NodeId ClusterNet::moveIn(NodeId v) {
     kv.status = NodeStatus::kClusterHead;
     kv.parent = kInvalidNode;
     kv.depth = 0;
-    kv.height = 0;
     root_ = v;
     ++netSize_;
+    depthCount_.assign(1, 1);
     ++backboneCount_;
     if (obs::enabled())
       obs::globalMetrics().gauge("cluster.backbone_size").set(1.0);
@@ -93,7 +95,6 @@ NodeId ClusterNet::moveIn(NodeId v) {
   kv.inNet = true;
   kv.parent = w;
   kv.depth = know_[w].depth + 1;
-  kv.height = 0;
   kv.bSlot = kNoSlot;
   kv.lSlot = kNoSlot;
   kv.uSlot = kNoSlot;
@@ -109,10 +110,15 @@ NodeId ClusterNet::moveIn(NodeId v) {
     peakDegree_ = std::max(peakDegree_, graph_.degree(u));
 
   // Knowledge (II) upkeep — Algorithm 3 (slot revisions report their new
-  // values to the root from inside the procedures) + root-path refresh.
+  // values to the root from inside the procedures) + the root-path height
+  // update. The slot reports charge the height from before this insert,
+  // so v's depth is counted only after them.
   updateTimeSlotsForInsert(v);
   assignUpSlot(v);
-  refreshHeightsFrom(w);
+  chargeRootPath(w);
+  const auto d = static_cast<std::size_t>(kv.depth);
+  if (depthCount_.size() == d) depthCount_.push_back(0);
+  ++depthCount_[d];
 
   // Multicast: if v carries groups already (re-insertion during
   // move-out), push them up the new root path.

@@ -3,13 +3,14 @@
 // Removing node `lev` splits CNet(G_old) into the subtree T rooted at lev
 // and the remainder H (H is parent-closed, so it stays a valid cluster
 // net). The operation:
-//   Step 0  — height refresh along the root path; relay-list decrements
-//             for every departing group membership; Eulerian "delete me"
-//             tour over T (metered).
-//   Step 1/2— the nodes of T \ {lev} re-join H one by one via
-//             node-move-in, in an order where each has a neighbor already
-//             inside the net (BFS from the H boundary). Nodes that lost
-//             all connection to H are orphaned (left out of the net).
+//   Step 0  — height update along the root path (metered per hop; the
+//             height follows from the per-depth node counts); relay-list
+//             decrements for every departing group membership; Eulerian
+//             "delete me" tour over T (metered).
+//   Step 1/2— the nodes of T \ {lev} re-join H one by one through the
+//             re-join sweep (moveInReachable), each once it has a
+//             neighbor already inside the net. Nodes that lost all
+//             connection to H are orphaned (left out of the net).
 //   Repair  — boundary H receivers whose unique-slot provider departed
 //             are re-validated and fixed via the Algorithm-3 repair; this
 //             pass is required for Condition 1/2 to survive a departure
@@ -44,11 +45,13 @@ void ClusterNet::detachNode(NodeId v) {
     siblings.erase(std::remove(siblings.begin(), siblings.end(), v),
                    siblings.end());
   }
+  --depthCount_[static_cast<std::size_t>(k.depth)];
+  while (!depthCount_.empty() && depthCount_.back() == 0)
+    depthCount_.pop_back();
   k.inNet = false;
   k.parent = kInvalidNode;
   k.children.clear();
   k.depth = kNoDepth;
-  k.height = 0;
   k.bSlot = kNoSlot;
   k.lSlot = kNoSlot;
   k.uSlot = kNoSlot;
@@ -58,15 +61,6 @@ void ClusterNet::detachNode(NodeId v) {
   // k.groups survives: a re-inserted node keeps its memberships.
   --netSize_;
 }
-
-namespace {
-
-/// Eulerian-tour transmissions over a tree with `nodes` nodes.
-std::int64_t eulerRounds(std::size_t nodes) {
-  return nodes > 1 ? 2 * (static_cast<std::int64_t>(nodes) - 1) : 0;
-}
-
-}  // namespace
 
 namespace {
 
@@ -149,7 +143,7 @@ MoveOutReport ClusterNet::withdrawInner(NodeId lev) {
   // whether to remove it); re-insertion ignores it because it is no
   // longer inNet.
   for (NodeId t : subtree) detachNode(t);
-  refreshHeightsFrom(hParent);
+  chargeRootPath(hParent);
 
   // Steps 1 & 2: re-insert T \ {lev} via node-move-in, each node attaching
   // once it has a neighbor inside the net (the paper's tour visits them in
@@ -157,20 +151,7 @@ MoveOutReport ClusterNet::withdrawInner(NodeId lev) {
   // re-attaches here: it is excluded from `pending`.
   std::vector<NodeId> pending(subtree.begin() + 1, subtree.end());
   costs_.eulerTour += eulerRounds(pending.size() + 1);
-  bool progress = true;
-  while (progress && !pending.empty()) {
-    progress = false;
-    std::vector<NodeId> still;
-    for (NodeId t : pending) {
-      if (!netNeighbors(t).empty()) {
-        moveIn(t);
-        progress = true;
-      } else {
-        still.push_back(t);
-      }
-    }
-    pending.swap(still);
-  }
+  moveInReachable(pending);
   report.orphaned = pending.size();
 
   // Repair pass: re-validate every boundary receiver (plus re-inserted
@@ -204,32 +185,12 @@ MoveOutReport ClusterNet::withdrawRoot() {
   rootMaxU_ = 0;
   rootMaxUp_ = 0;
 
-  std::vector<NodeId> pending(subtree.begin() + 1, subtree.end());
-  // Seed a fresh root from the lowest live id, then grow as in the
-  // non-root case. A crashed member that recovery has not pruned yet
-  // cannot be seeded; like every dead member it stays pending and
+  // The sweep seeds a fresh root from the lowest live id, then grows as
+  // in the non-root case. A crashed member that recovery has not pruned
+  // yet cannot be seeded; like every dead member it stays pending and
   // counts as orphaned.
-  NodeId seed = kInvalidNode;
-  for (NodeId t : pending)
-    if (graph_.isAlive(t)) seed = std::min(seed, t);
-  if (seed != kInvalidNode) {
-    moveIn(seed);
-    pending.erase(std::find(pending.begin(), pending.end(), seed));
-    bool progress = true;
-    while (progress && !pending.empty()) {
-      progress = false;
-      std::vector<NodeId> still;
-      for (NodeId t : pending) {
-        if (!netNeighbors(t).empty()) {
-          moveIn(t);
-          progress = true;
-        } else {
-          still.push_back(t);
-        }
-      }
-      pending.swap(still);
-    }
-  }
+  std::vector<NodeId> pending(subtree.begin() + 1, subtree.end());
+  moveInReachable(pending);
   report.orphaned = pending.size();
   report.cost = costs_ - before;
   return report;

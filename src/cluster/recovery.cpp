@@ -13,12 +13,6 @@ namespace dsn {
 
 namespace {
 
-/// Eulerian-tour transmissions over a tree with `nodes` nodes (same
-/// accounting as move-out).
-std::int64_t eulerRounds(std::size_t nodes) {
-  return nodes > 1 ? 2 * (static_cast<std::int64_t>(nodes) - 1) : 0;
-}
-
 void flushRecoveryMetrics(const RecoveryReport& report) {
   if (!obs::enabled()) return;
   auto& m = obs::globalMetrics();
@@ -130,7 +124,7 @@ RecoveryReport RecoveryManager::repair() {
       if (net.graph_.isAlive(t)) pending.push_back(t);
     }
     if (hParent != kInvalidNode && attached.count(hParent))
-      net.refreshHeightsFrom(hParent);
+      net.chargeRootPath(hParent);
   }
 
   if (rootDead) {
@@ -141,31 +135,11 @@ RecoveryReport RecoveryManager::repair() {
     net.rootMaxUp_ = 0;
   }
 
-  // Move-out Steps 1/2: survivors re-join one by one, each attaching once
-  // it has a neighbor inside the net. A dead root re-seeds from the
-  // lowest surviving id (DESIGN.md §4(3)).
+  // Move-out Steps 1/2: survivors re-join one by one through the re-join
+  // sweep, each attaching once it has a neighbor inside the net. A dead
+  // root re-seeds from the lowest surviving id (DESIGN.md §4(3)).
   std::sort(pending.begin(), pending.end());
-  if (net.root_ == kInvalidNode && !pending.empty()) {
-    const NodeId seed = pending.front();
-    net.moveIn(seed);
-    pending.erase(pending.begin());
-    ++report.reattached;
-  }
-  bool progress = true;
-  while (progress && !pending.empty()) {
-    progress = false;
-    std::vector<NodeId> still;
-    for (NodeId t : pending) {
-      if (!net.netNeighbors(t).empty()) {
-        net.moveIn(t);
-        ++report.reattached;
-        progress = true;
-      } else {
-        still.push_back(t);
-      }
-    }
-    pending.swap(still);
-  }
+  report.reattached = net.moveInReachable(pending);
   report.orphaned = pending.size();
 
   // Slot repair: the dead nodes' graph edges vanished with removeNode, so

@@ -18,8 +18,8 @@
 //      (smaller) cluster net. Relay lists of surviving ancestors are
 //      decremented first, exactly as in move-out Step 0.
 //   3. Re-attachment — orphaned-but-alive subtree nodes re-join through
-//      the ordinary move-in attachment rules (same progress loop as
-//      move-out Steps 1/2). Nodes with no surviving net neighbor stay
+//      the ordinary move-in attachment rules (the same re-join sweep as
+//      move-out Steps 1/2, ClusterNet::moveInReachable). Nodes with no surviving net neighbor stay
 //      out ("orphaned"). A dead root re-seeds from the lowest surviving
 //      id, as in DESIGN.md §4(3).
 //   4. Slot repair — a global receiver-condition sweep. Unlike move-out,

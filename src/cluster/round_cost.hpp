@@ -8,9 +8,16 @@
 // DESIGN.md §2 documents this fidelity split.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace dsn {
+
+/// Eulerian-tour transmissions over a tree with `nodes` nodes: 2(|T|-1),
+/// the unit RoundCost::eulerTour counts (move-out and crash recovery).
+inline std::int64_t eulerRounds(std::size_t nodes) {
+  return nodes > 1 ? 2 * (static_cast<std::int64_t>(nodes) - 1) : 0;
+}
 
 /// Cumulative round counts, split by the paper's cost components.
 struct RoundCost {
@@ -20,8 +27,8 @@ struct RoundCost {
   /// Time-slot recalculations: 1 + |C(y)| rounds per procedure run
   /// (Lemma 2(1)).
   std::int64_t slotUpdate = 0;
-  /// Root-path traffic: height updates and carrying the revised largest
-  /// b-slot to the root (2h per move-in, Theorem 2(2)).
+  /// Root-path traffic: height updates (one message per hop) and carrying
+  /// the revised largest b-slot to the root (2h per move-in, Theorem 2(2)).
   std::int64_t rootPath = 0;
   /// Eulerian tours over the detached subtree during node-move-out
   /// (2(|T|-1) transmissions per tour).

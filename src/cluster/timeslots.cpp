@@ -298,7 +298,7 @@ void ClusterNet::assignUpSlot(NodeId v) {
   recordSlotRecompute(v, know_[v].upSlot, 3);
   if (know_[v].upSlot > rootMaxUp_) {
     rootMaxUp_ = know_[v].upSlot;
-    costs_.rootPath += root_ != kInvalidNode ? know_[root_].height : 0;
+    costs_.rootPath += root_ != kInvalidNode ? height() : 0;
   }
 }
 

@@ -121,6 +121,7 @@ class Checker {
       if (net_.depth(root) != 0) fail("tree", root) << "root depth is not 0";
 
       std::size_t reached = 0;
+      Depth deepest = 0;
       std::queue<NodeId> q;
       std::unordered_set<NodeId> seen{root};
       q.push(root);
@@ -128,7 +129,7 @@ class Checker {
         const NodeId v = q.front();
         q.pop();
         ++reached;
-        int childHeightMax = -1;
+        deepest = std::max(deepest, net_.depth(v));
         for (NodeId c : net_.children(v)) {
           if (!net_.contains(c)) {
             fail("tree", c) << "child " << c << " of " << v << " not in net";
@@ -146,14 +147,12 @@ class Checker {
             fail("tree", c) << "node " << c << " reached twice (cycle?)";
             continue;
           }
-          childHeightMax =
-              std::max(childHeightMax, net_.heightOf(c));
           q.push(c);
         }
-        if (net_.heightOf(v) != childHeightMax + 1)
-          fail("tree", v) << "height of " << v << " is " << net_.heightOf(v)
-                          << ", expected " << childHeightMax + 1;
       }
+      if (net_.height() != deepest)
+        fail("tree") << "height is " << net_.height()
+                     << ", but the deepest reachable depth is " << deepest;
       if (reached != nodes_.size())
         fail("tree") << "only " << reached << " of " << nodes_.size()
                      << " net nodes reachable from root";

@@ -58,7 +58,7 @@ class ClusterNetValidator {
   /// Checks, over the current structure:
   ///  * tree well-formedness: single root, symmetric parent/child links,
   ///    depth = parent depth + 1, all net nodes reachable, tree edges are
-  ///    graph edges, exact subtree heights;
+  ///    graph edges, height() = the deepest depth reachable from the root;
   ///  * Definition-1 statuses: members/gateways hang off heads, gateways'
   ///    children are heads, members are leaves, root is a head, backbone
   ///    alternation head/gateway by even/odd depth;

@@ -30,16 +30,8 @@ NodeId ReplicatedNetwork::addSensor(const Point2D& p) {
     if (graph_->isAlive(u)) graph_->addEdge(v, u);
   }
   index_.insert(v, p);
-  for (auto& net : nets_) {
-    bool attachable = net->netSize() == 0;
-    for (NodeId u : graph_->neighbors(v)) {
-      if (net->contains(u)) {
-        attachable = true;
-        break;
-      }
-    }
-    if (attachable) net->moveIn(v);
-  }
+  for (auto& net : nets_)
+    if (net->canMoveIn(v)) net->moveIn(v);
   return v;
 }
 

@@ -54,35 +54,11 @@ void SensorNetwork::buildFromPoints(const ClusterNetConfig& clusterConfig) {
 
   // Self-construction: move nodes in one by one; a node is insertable
   // once it has a neighbor inside the net. Deployment order works for
-  // incremental-attach layouts; for arbitrary layouts keep sweeping until
-  // no progress (covers exactly the component of the first node).
-  std::vector<NodeId> pending;
-  for (NodeId v = 0; v < points_.size(); ++v) pending.push_back(v);
-  bool progress = true;
-  bool first = true;
-  while (progress && !pending.empty()) {
-    progress = false;
-    std::vector<NodeId> still;
-    for (NodeId v : pending) {
-      bool attachable = first;
-      first = false;
-      if (!attachable) {
-        for (NodeId u : graph_->neighbors(v)) {
-          if (net_->contains(u)) {
-            attachable = true;
-            break;
-          }
-        }
-      }
-      if (attachable) {
-        net_->moveIn(v);
-        progress = true;
-      } else {
-        still.push_back(v);
-      }
-    }
-    pending.swap(still);
-  }
+  // incremental-attach layouts; for arbitrary layouts the re-join sweep
+  // repeats until no progress (covers exactly the component of node 0).
+  std::vector<NodeId> pending(points_.size());
+  for (NodeId v = 0; v < points_.size(); ++v) pending[v] = v;
+  net_->moveInReachable(pending);
 }
 
 NodeId SensorNetwork::addSensor(const Point2D& p, bool* joined) {
@@ -92,13 +68,7 @@ NodeId SensorNetwork::addSensor(const Point2D& p, bool* joined) {
   }
   index_.insert(v, p);
 
-  bool canJoin = net_->netSize() == 0;
-  for (NodeId u : graph_->neighbors(v)) {
-    if (net_->contains(u)) {
-      canJoin = true;
-      break;
-    }
-  }
+  const bool canJoin = net_->canMoveIn(v);
   if (canJoin) net_->moveIn(v);
   if (joined) *joined = canJoin;
   return v;
@@ -124,13 +94,7 @@ bool SensorNetwork::moveSensor(NodeId v, const Point2D& newPosition) {
   }
 
   // 3. Re-join at the new spot when the net is reachable.
-  bool canJoin = net_->netSize() == 0;
-  for (NodeId u : graph_->neighbors(v)) {
-    if (net_->contains(u)) {
-      canJoin = true;
-      break;
-    }
-  }
+  const bool canJoin = net_->canMoveIn(v);
   if (canJoin) net_->moveIn(v);
   return canJoin;
 }
@@ -144,37 +108,11 @@ RoundCost SensorNetwork::rebuildStructure() {
   }
 
   auto fresh = std::make_unique<ClusterNet>(*graph_, net_->config());
-  // Progress-sweep self-construction over the live deployment, exactly
-  // like initial construction: a node enters once it can reach the net,
-  // sweeping until no progress (covers the component of the first
-  // attachable node).
-  std::vector<NodeId> pending;
-  for (NodeId v : graph_->liveNodes()) pending.push_back(v);
-  bool progress = true;
-  bool first = true;
-  while (progress && !pending.empty()) {
-    progress = false;
-    std::vector<NodeId> still;
-    for (NodeId v : pending) {
-      bool attachable = first;
-      first = false;
-      if (!attachable) {
-        for (NodeId u : graph_->neighbors(v)) {
-          if (fresh->contains(u)) {
-            attachable = true;
-            break;
-          }
-        }
-      }
-      if (attachable) {
-        fresh->moveIn(v);
-        progress = true;
-      } else {
-        still.push_back(v);
-      }
-    }
-    pending.swap(still);
-  }
+  // Self-construction over the live deployment, exactly like initial
+  // construction: the re-join sweep covers the component of the lowest
+  // live id.
+  std::vector<NodeId> pending = graph_->liveNodes();
+  fresh->moveInReachable(pending);
   for (const auto& [v, g] : memberships) {
     if (fresh->contains(v)) fresh->joinGroup(v, g);
   }
@@ -208,13 +146,7 @@ void SensorNetwork::crashSensor(NodeId v) {
 bool SensorNetwork::rejoinSensor(NodeId v) {
   DSN_REQUIRE(graph_->isAlive(v), "rejoinSensor: node not deployed");
   DSN_REQUIRE(!net_->contains(v), "rejoinSensor: node already in net");
-  bool canJoin = net_->netSize() == 0;
-  for (NodeId u : graph_->neighbors(v)) {
-    if (net_->contains(u)) {
-      canJoin = true;
-      break;
-    }
-  }
+  const bool canJoin = net_->canMoveIn(v);
   if (canJoin) net_->moveIn(v);
   return canJoin;
 }

@@ -126,11 +126,11 @@ class SensorNetwork {
   bool moveSensor(NodeId v, const Point2D& newPosition);
 
   /// Discards the cluster structure and re-runs self-construction over
-  /// the current deployment (progress-sweep move-in, covering the
-  /// component of the first attachable node). Group memberships are
-  /// re-applied. Returns the round cost of the rebuild — the number the
-  /// adaptive churn policy compares against accumulated incremental
-  /// repair cost (Gavalas-style full re-cluster).
+  /// the current deployment (the re-join sweep, covering the component
+  /// of the lowest live id). Group memberships are re-applied. Returns
+  /// the round cost of the rebuild — the number the adaptive churn policy
+  /// compares against accumulated incremental repair cost (Gavalas-style
+  /// full re-cluster).
   RoundCost rebuildStructure();
 
   // ---- Communication ----
