@@ -89,6 +89,24 @@ class GatherSwarm final : public SwarmProtocol {
     return kids == 0 || heard_[v] == kids || (flags_[v] & kWindowClosed);
   }
 
+  /// Wakes every round of the children's window while a child is
+  /// missing, at the window's end (the kWindowClosed deadline) and at the
+  /// transmit round; after that it sleeps forever.
+  Round nextWake(NodeId v, Round now) const override {
+    const Round next = now + 1;
+    Round wake = kNoWake;
+    const std::size_t kids = children_[v]->size();
+    if (kids > 0 && !(flags_[v] & kWindowClosed)) {
+      const Round end = childWindowEnd(v);
+      wake = heard_[v] < kids && next < end
+                 ? std::max(next, childWindowStart(v))
+                 : std::max(next, end);
+    }
+    if (!(flags_[v] & kSent))
+      wake = std::min(wake, std::max(next, transmitRound(v)));
+    return wake;
+  }
+
   std::uint64_t partialSum(NodeId v) const { return sum_[v]; }
   std::uint32_t contributors(NodeId v) const { return count_[v]; }
 

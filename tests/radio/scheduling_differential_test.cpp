@@ -6,6 +6,7 @@
 // model without changing its semantics.
 #include <gtest/gtest.h>
 
+#include "broadcast/convergecast.hpp"
 #include "broadcast/flooding_baseline.hpp"
 #include "broadcast/reliable.hpp"
 #include "broadcast/runner.hpp"
@@ -29,14 +30,18 @@ void expectSameTrace(const Trace& a, const Trace& b) {
         << " vs " << obs::describeFrEvent(b.events()[i]);
 }
 
+void expectSameSim(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.totalTransmissions, b.totalTransmissions);
+  EXPECT_EQ(a.totalDeliveries, b.totalDeliveries);
+  EXPECT_EQ(a.totalCollisions, b.totalCollisions);
+  EXPECT_EQ(a.droppedTransmissions, b.droppedTransmissions);
+  EXPECT_EQ(a.jammedLosses, b.jammedLosses);
+}
+
 void expectSameRun(const BroadcastRun& a, const BroadcastRun& b) {
-  EXPECT_EQ(a.sim.rounds, b.sim.rounds);
-  EXPECT_EQ(a.sim.completed, b.sim.completed);
-  EXPECT_EQ(a.sim.totalTransmissions, b.sim.totalTransmissions);
-  EXPECT_EQ(a.sim.totalDeliveries, b.sim.totalDeliveries);
-  EXPECT_EQ(a.sim.totalCollisions, b.sim.totalCollisions);
-  EXPECT_EQ(a.sim.droppedTransmissions, b.sim.droppedTransmissions);
-  EXPECT_EQ(a.sim.jammedLosses, b.sim.jammedLosses);
+  expectSameSim(a.sim, b.sim);
   EXPECT_EQ(a.intended, b.intended);
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.lastDeliveryRound, b.lastDeliveryRound);
@@ -45,6 +50,19 @@ void expectSameRun(const BroadcastRun& a, const BroadcastRun& b) {
   EXPECT_EQ(a.deliveryRound, b.deliveryRound);
   EXPECT_EQ(a.listenRounds, b.listenRounds);
   EXPECT_EQ(a.transmitRounds, b.transmitRounds);
+  expectSameTrace(a.trace, b.trace);
+}
+
+void expectSameGather(const GatherResult& a, const GatherResult& b) {
+  expectSameSim(a.sim, b.sim);
+  EXPECT_EQ(a.aggregate, b.aggregate);
+  EXPECT_EQ(a.contributors, b.contributors);
+  EXPECT_EQ(a.expected, b.expected);
+  EXPECT_EQ(a.scheduleLength, b.scheduleLength);
+  EXPECT_EQ(a.maxAwakeRounds, b.maxAwakeRounds);
+  EXPECT_DOUBLE_EQ(a.meanAwakeRounds, b.meanAwakeRounds);
+  EXPECT_EQ(a.transmissions, b.transmissions);
+  EXPECT_EQ(a.collisions, b.collisions);
   expectSameTrace(a.trace, b.trace);
 }
 
@@ -185,6 +203,58 @@ TEST(SchedulingDifferentialTest, FloodingBaselineWithDrops) {
       net.graph(), net.clusterNet().root(), 17, fc,
       withScheduling(opts, SimScheduling::kFullScan));
   expectSameRun(active, full);
+}
+
+// Convergecast: every node reports up through its depth's gather window.
+// Each net runs clean, under drops with deaths spread over the schedule,
+// and after an unrepaired crash of an inner node (its parent listens out
+// the whole window for it), at one and three channels.
+TEST(SchedulingDifferentialTest, ConvergecastGather) {
+  for (const std::uint64_t seed : {0xD1FF08ull, 0xD1FF09ull, 0xD1FF0Aull}) {
+    SCOPED_TRACE(seed);
+    SensorNetwork net(paperNetwork(150, seed));
+    std::vector<std::uint64_t> values(net.graph().size());
+    for (NodeId v = 0; v < values.size(); ++v) values[v] = 1 + v % 17;
+    const auto compare = [&](const ProtocolOptions& opts) {
+      const auto active = runConvergecast(
+          net.clusterNet(), values,
+          withScheduling(opts, SimScheduling::kActiveSet));
+      const auto full = runConvergecast(
+          net.clusterNet(), values,
+          withScheduling(opts, SimScheduling::kFullScan));
+      expectSameGather(active, full);
+      return full;
+    };
+    for (const Channel k : {Channel{1}, Channel{3}}) {
+      SCOPED_TRACE(k);
+      ProtocolOptions opts;
+      opts.channels = k;
+      opts.traceCapacity = 1 << 16;
+      const Round schedule = compare(opts).scheduleLength;
+      ProtocolOptions lossy = opts;
+      lossy.dropProbability = 0.1;
+      lossy.deaths = {{5, 0},
+                      {17, schedule / 4},
+                      {33, schedule / 2},
+                      {60, 3 * schedule / 4}};
+      compare(lossy);
+    }
+    // Crash the first non-root node with children, without repair.
+    for (NodeId v : net.clusterNet().netNodes()) {
+      if (v == net.clusterNet().root() || net.clusterNet().children(v).empty())
+        continue;
+      net.crashSensor(v);
+      break;
+    }
+    ASSERT_TRUE(net.hasStaleStructure());
+    for (const Channel k : {Channel{1}, Channel{3}}) {
+      SCOPED_TRACE(k);
+      ProtocolOptions opts;
+      opts.channels = k;
+      opts.traceCapacity = 1 << 16;
+      EXPECT_FALSE(compare(opts).complete());
+    }
+  }
 }
 
 TEST(SchedulingDifferentialTest, ReliableBroadcastRepairRounds) {
