@@ -1,8 +1,9 @@
 // Property-based sweeps: after EVERY node-move-in on randomly grown
 // networks, the full invariant set (Definition 1, Property 1, Time-Slot
-// Conditions, Lemma bounds, exact heights, root knowledge) must hold.
+// Conditions, Lemma bounds, the net's height, root knowledge) must hold.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "cluster/backbone.hpp"
@@ -20,6 +21,12 @@ struct SweepParam {
   double range;
   SlotPolicy policy;
 };
+
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_n" << p.n << "_field" << p.fieldUnits
+      << "_range" << p.range << '_'
+      << (p.policy == SlotPolicy::kStrict ? "strict" : "paperLocal");
+}
 
 class MoveInSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -102,7 +109,7 @@ TEST(MoveInCostTest, PerOperationCostWithinTheoremTwoBound) {
 
 TEST(MoveInTest, HeightsStayExactUnderRandomGrowth) {
   auto f = testutil::randomNet(57, 140);
-  // Validator already recomputes heights; spot-check the root height
+  // The validator checks the height against its BFS; spot-check it
   // equals the max depth over nodes.
   Depth maxDepth = 0;
   for (NodeId v : f.net->netNodes())

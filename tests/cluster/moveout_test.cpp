@@ -2,6 +2,8 @@
 // and invariant preservation under random churn.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cluster/backbone.hpp"
 #include "cluster/validate.hpp"
 #include "graph/algorithms.hpp"
@@ -110,6 +112,11 @@ struct ChurnParam {
   int removals;
   SlotPolicy policy;
 };
+
+void PrintTo(const ChurnParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_n" << p.n << "_removals" << p.removals << '_'
+      << (p.policy == SlotPolicy::kStrict ? "strict" : "paperLocal");
+}
 
 class MoveOutChurn : public ::testing::TestWithParam<ChurnParam> {};
 

@@ -20,6 +20,12 @@ struct StressParam {
   int operations;
 };
 
+void PrintTo(const StressParam& p, std::ostream* os) {
+  *os << "seed0x" << std::hex << std::uppercase << p.seed << std::dec
+      << std::nouppercase << "_start" << p.startNodes << "_ops"
+      << p.operations;
+}
+
 class StressSweep : public ::testing::TestWithParam<StressParam> {};
 
 TEST_P(StressSweep, RandomOperationSoup) {
