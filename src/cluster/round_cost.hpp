@@ -25,7 +25,8 @@ struct RoundCost {
   /// We charge exactly d_new (the degree of the joining node).
   std::int64_t attach = 0;
   /// Time-slot recalculations: 1 + |C(y)| rounds per procedure run
-  /// (Lemma 2(1)).
+  /// (Lemma 2(1)), including the runs that repair receiver conditions
+  /// after a move-out or a crash (DESIGN.md §4).
   std::int64_t slotUpdate = 0;
   /// Root-path traffic: height updates (one message per hop) and carrying
   /// the revised largest b-slot to the root (2h per move-in, Theorem 2(2)).
@@ -33,9 +34,6 @@ struct RoundCost {
   /// Eulerian tours over the detached subtree during node-move-out
   /// (2(|T|-1) transmissions per tour).
   std::int64_t eulerTour = 0;
-  /// Condition repairs at the H/T boundary after a move-out — the pass the
-  /// paper needs but does not spell out (DESIGN.md §4).
-  std::int64_t repair = 0;
   /// Multicast group/relay-list maintenance on the root path.
   std::int64_t groupMaintenance = 0;
   /// Slotted heartbeat rounds on the backbone (failure detection): one
@@ -44,8 +42,8 @@ struct RoundCost {
   std::int64_t heartbeat = 0;
 
   std::int64_t total() const {
-    return attach + slotUpdate + rootPath + eulerTour + repair +
-           groupMaintenance + heartbeat;
+    return attach + slotUpdate + rootPath + eulerTour + groupMaintenance +
+           heartbeat;
   }
 
   RoundCost& operator+=(const RoundCost& o) {
@@ -53,7 +51,6 @@ struct RoundCost {
     slotUpdate += o.slotUpdate;
     rootPath += o.rootPath;
     eulerTour += o.eulerTour;
-    repair += o.repair;
     groupMaintenance += o.groupMaintenance;
     heartbeat += o.heartbeat;
     return *this;
@@ -64,7 +61,6 @@ struct RoundCost {
     a.slotUpdate -= b.slotUpdate;
     a.rootPath -= b.rootPath;
     a.eulerTour -= b.eulerTour;
-    a.repair -= b.repair;
     a.groupMaintenance -= b.groupMaintenance;
     a.heartbeat -= b.heartbeat;
     return a;
