@@ -695,8 +695,7 @@ ScenarioOutcome runScenario(SensorNetwork& net,
     // Implicit validation is suspended while crashes have left the
     // structure stale (every invariant check would fail by design until
     // a `repair` event runs); an explicit `validate` line still reports.
-    if (options.validateEachStep &&
-        e.kind != ScenarioEvent::Kind::kValidate &&
+    if (e.kind != ScenarioEvent::Kind::kValidate &&
         !net.hasStaleStructure()) {
       validateNow();
     }

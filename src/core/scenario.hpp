@@ -143,9 +143,6 @@ struct ScenarioOutcome {
 };
 
 struct ScenarioOptions {
-  /// Validate invariants after every event (in addition to explicit
-  /// `validate` lines).
-  bool validateEachStep = true;
   /// Seed for `broadcast random` source draws.
   std::uint64_t seed = 0x5CEA;
   /// Radio options applied to every communication event.
@@ -169,7 +166,9 @@ bool scenarioEventMutatesNetwork(const ScenarioEvent& event);
 /// True when any event of `events` mutates the network.
 bool scenarioMutatesNetwork(const std::vector<ScenarioEvent>& events);
 
-/// Executes `events` against `net` in order.
+/// Executes `events` against `net` in order, validating the invariants
+/// after every event (in addition to explicit `validate` lines) unless
+/// crashes have left the structure stale.
 ScenarioOutcome runScenario(SensorNetwork& net,
                             const std::vector<ScenarioEvent>& events,
                             const ScenarioOptions& options = {});
