@@ -27,9 +27,11 @@ int main(int argc, char** argv) {
           }
           auto& cnet = net.clusterNet();
           t.add("sched_L", static_cast<double>(cnet.rootMaxLSlot()));
-          t.add("true_L", static_cast<double>(cnet.trueMaxLSlot()));
+          t.add("true_L",
+                static_cast<double>(cnet.trueMaxSlot(SlotFamily::kL)));
           t.add("sched_up", static_cast<double>(cnet.rootMaxUpSlot()));
-          t.add("true_up", static_cast<double>(cnet.trueMaxUpSlot()));
+          t.add("true_up",
+                static_cast<double>(cnet.trueMaxSlot(SlotFamily::kUp)));
           const auto rounds = cnet.compactSlots();
           t.add("compact_rounds", static_cast<double>(rounds));
           t.add("after_L", static_cast<double>(cnet.rootMaxLSlot()));

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "broadcast/cff_swarm.hpp"
-#include "cluster/soa.hpp"
 
 namespace dsn {
 
@@ -27,19 +26,19 @@ SlottedWave admitCffWave(const ClusterNet& net, NodeId source,
   const Graph& g = net.graph();
   auto swarm = std::make_unique<CffSwarm>(sc, g.size());
 
-  // Flat schedule columns: one pass over the knowledge table instead of a
-  // per-field accessor chase for every member (matters at n >= 10^5).
-  const ClusterScheduleView sched = ClusterScheduleView::build(net);
-  wave.members.reserve(sched.members().size());
-  for (NodeId v : sched.members()) {
+  // One pass over the net's records, in node order, fills the swarm.
+  wave.members.reserve(net.netSize());
+  for (NodeId v = 0; v < g.size(); ++v) {
     // A stale structure (crashes not yet repaired) may reference dead
     // nodes; they neither act nor count as intended receivers.
-    if (!g.isAlive(v)) continue;
+    if (!net.contains(v) || !g.isAlive(v)) continue;
+    const NodeKnowledge& k = net.knowledge(v);
     wave.members.push_back(v);
     const int pathIndex = path.indexOf[v];
-    swarm->addMember(v, sched.depth(v),
-                     sched.isBackbone(v) ? sched.uSlot(v) : kNoSlot, pathIndex,
-                     path.nextAfter(pathIndex), v == source);
+    swarm->addMember(
+        v, k.depth,
+        isBackboneStatus(k.status) ? k.slot(SlotFamily::kU) : kNoSlot,
+        pathIndex, path.nextAfter(pathIndex), v == source);
   }
   wave.intended = wave.members;
   wave.swarm = std::move(swarm);

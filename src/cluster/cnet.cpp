@@ -121,51 +121,10 @@ std::vector<NodeId> ClusterNet::clusterMembers(NodeId head) const {
   return out;
 }
 
-TimeSlot ClusterNet::bSlot(NodeId v) const {
-  requireInNet(v, "bSlot");
-  return know_[v].bSlot;
-}
-
-TimeSlot ClusterNet::lSlot(NodeId v) const {
-  requireInNet(v, "lSlot");
-  return know_[v].lSlot;
-}
-
-TimeSlot ClusterNet::uSlot(NodeId v) const {
-  requireInNet(v, "uSlot");
-  return know_[v].uSlot;
-}
-
-TimeSlot ClusterNet::trueMaxBSlot() const {
+TimeSlot ClusterNet::trueMaxSlot(SlotFamily f) const {
   TimeSlot best = 0;
-  for (NodeId v = 0; v < know_.size(); ++v)
-    if (know_[v].inNet) best = std::max(best, know_[v].bSlot);
-  return best;
-}
-
-TimeSlot ClusterNet::trueMaxLSlot() const {
-  TimeSlot best = 0;
-  for (NodeId v = 0; v < know_.size(); ++v)
-    if (know_[v].inNet) best = std::max(best, know_[v].lSlot);
-  return best;
-}
-
-TimeSlot ClusterNet::trueMaxUSlot() const {
-  TimeSlot best = 0;
-  for (NodeId v = 0; v < know_.size(); ++v)
-    if (know_[v].inNet) best = std::max(best, know_[v].uSlot);
-  return best;
-}
-
-TimeSlot ClusterNet::upSlot(NodeId v) const {
-  requireInNet(v, "upSlot");
-  return know_[v].upSlot;
-}
-
-TimeSlot ClusterNet::trueMaxUpSlot() const {
-  TimeSlot best = 0;
-  for (NodeId v = 0; v < know_.size(); ++v)
-    if (know_[v].inNet) best = std::max(best, know_[v].upSlot);
+  for (const NodeKnowledge& k : know_)
+    if (k.inNet) best = std::max(best, k.slot(f));
   return best;
 }
 
@@ -243,13 +202,12 @@ void ClusterNet::chargeRootPath(NodeId start) {
   costs_.rootPath += know_[start].depth + 1;
 }
 
-void ClusterNet::reportSlotToRoot(TimeSlot b, TimeSlot l, TimeSlot u) {
-  // Carrying the revised maxima to the root costs one message per hop on
+void ClusterNet::reportSlotToRoot(SlotFamily f, TimeSlot slot) {
+  // Carrying the revised maximum to the root costs one message per hop on
   // the root path; we meter the worst-case h (the paper's accounting).
-  if (b > rootMaxB_ || l > rootMaxL_ || u > rootMaxU_) {
-    rootMaxB_ = std::max(rootMaxB_, b);
-    rootMaxL_ = std::max(rootMaxL_, l);
-    rootMaxU_ = std::max(rootMaxU_, u);
+  TimeSlot& known = rootMax_[static_cast<std::size_t>(f)];
+  if (slot > known) {
+    known = slot;
     costs_.rootPath += root_ != kInvalidNode ? height() : 0;
   }
 }

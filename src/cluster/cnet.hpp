@@ -13,6 +13,7 @@
 // from both the structure and the graph.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -152,55 +153,55 @@ class ClusterNet {
 
   // ---- Time-slot queries (paper Section 4) ----
 
-  TimeSlot bSlot(NodeId v) const;
-  TimeSlot lSlot(NodeId v) const;
+  TimeSlot bSlot(NodeId v) const { return knowledge(v).slot(SlotFamily::kB); }
+  TimeSlot lSlot(NodeId v) const { return knowledge(v).slot(SlotFamily::kL); }
   /// Unified Algorithm-1 slot (Time-Slot Condition 1).
-  TimeSlot uSlot(NodeId v) const;
+  TimeSlot uSlot(NodeId v) const { return knowledge(v).slot(SlotFamily::kU); }
   /// Upward convergecast slot (dsnet extension; every non-root node has
   /// one).
-  TimeSlot upSlot(NodeId v) const;
-  /// δ as known at the root: monotone max over every b-slot ever
-  /// reported. Never below the current true maximum.
-  TimeSlot rootMaxBSlot() const { return rootMaxB_; }
-  /// Δ as known at the root (same discipline for l-slots).
-  TimeSlot rootMaxLSlot() const { return rootMaxL_; }
+  TimeSlot upSlot(NodeId v) const {
+    return knowledge(v).slot(SlotFamily::kUp);
+  }
+  /// Largest f-slot as known at the root: a monotone max over every
+  /// f-slot ever reported, never below the current true maximum. It sizes
+  /// the family's TDM window.
+  TimeSlot rootMaxSlot(SlotFamily f) const {
+    return rootMax_[static_cast<std::size_t>(f)];
+  }
+  /// δ as known at the root.
+  TimeSlot rootMaxBSlot() const { return rootMaxSlot(SlotFamily::kB); }
+  /// Δ as known at the root.
+  TimeSlot rootMaxLSlot() const { return rootMaxSlot(SlotFamily::kL); }
   /// Largest Algorithm-1 slot as known at the root.
-  TimeSlot rootMaxUSlot() const { return rootMaxU_; }
+  TimeSlot rootMaxUSlot() const { return rootMaxSlot(SlotFamily::kU); }
   /// Largest convergecast up-slot as known at the root.
-  TimeSlot rootMaxUpSlot() const { return rootMaxUp_; }
+  TimeSlot rootMaxUpSlot() const { return rootMaxSlot(SlotFamily::kUp); }
   /// Largest node degree ever observed while a node was inserted. Slot
   /// magnitudes are bounded by functions of the degree *at assignment
   /// time*, so validation after shrinkage must compare against this
   /// monotone peak, not the current degree.
   std::size_t peakDegree() const { return peakDegree_; }
 
-  /// Exact current maxima (a global scan — used by benches to measure how
-  /// far the root's monotone knowledge drifts from the truth).
-  TimeSlot trueMaxBSlot() const;
-  TimeSlot trueMaxLSlot() const;
-  TimeSlot trueMaxUSlot() const;
-  TimeSlot trueMaxUpSlot() const;
+  /// Exact current maximum of family `f` (a global scan — used by benches
+  /// to measure how far the root's monotone knowledge drifts from the
+  /// truth).
+  TimeSlot trueMaxSlot(SlotFamily f) const;
 
-  /// Set of nodes that transmit in the window where backbone node `v`
-  /// listens during the backbone flood: backbone neighbors at depth(v)-1.
-  std::vector<NodeId> bInterferers(NodeId v) const;
-  /// Set of nodes that transmit while pure-member `v` listens during the
-  /// leaf hop. Under kStrict: all backbone neighbors; under kPaperLocal:
-  /// backbone neighbors at depth(v)-1.
-  std::vector<NodeId> lInterferers(NodeId v) const;
+  /// The b/l/u receive rule, one for all three families. `v` receives in
+  /// family f when it is a non-root backbone node (b), a pure member (l)
+  /// or any non-root node (u). Net node `tx` transmits in the window
+  /// where `v` listens when `tx` is a backbone node at depth(v)-1; for l
+  /// under kStrict any backbone neighbor does (Algorithm 2's leaf hop is
+  /// one shared window). interferers() lists, in adjacency order, the
+  /// neighbors that transmit while receiver `v` listens in family f.
+  std::vector<NodeId> interferers(SlotFamily f, NodeId v) const;
 
-  /// Transmitters in the window where any node `v` listens during the
-  /// Algorithm-1 whole-CNet flood: backbone neighbors at depth(v)-1
-  /// (evaluated over their u-slots).
-  std::vector<NodeId> uInterferers(NodeId v) const;
-
-  /// True when v (a net node at depth > 0 / a pure member) can receive
-  /// collision-free per the active policy — i.e. some interferer's slot
-  /// is unique within the interferer set.
-  bool bConditionHolds(NodeId v) const;
-  bool lConditionHolds(NodeId v) const;
-  /// Time-Slot Condition 1 at node v (any non-root net node).
-  bool uConditionHolds(NodeId v) const;
+  /// Time-Slot Condition of family f (b, l or u) at receiver `v`: some
+  /// interferer's f-slot is unique within the interferer set, so that
+  /// transmitter gets through. It reuses a per-thread buffer, so once
+  /// warm it allocates nothing, and several threads may check one net
+  /// that no thread mutates.
+  bool conditionHolds(SlotFamily f, NodeId v) const;
   /// Convergecast condition at node v (non-root): v's up-slot differs
   /// from the up-slot of every other same-depth node sharing a
   /// previous-depth neighbor with v (so every potential listener hears
@@ -235,16 +236,17 @@ class ClusterNet {
   NodeId root_ = kInvalidNode;
   std::size_t netSize_ = 0;
   std::size_t backboneCount_ = 0;
-  TimeSlot rootMaxB_ = 0;
-  TimeSlot rootMaxL_ = 0;
-  TimeSlot rootMaxU_ = 0;
-  TimeSlot rootMaxUp_ = 0;
+  /// The root's monotone window knowledge, indexed by SlotFamily.
+  std::array<TimeSlot, kSlotFamilies> rootMax_{};
   std::size_t peakDegree_ = 0;
   /// depthCount_[d] = net nodes at depth d. The last entry is never 0,
   /// so the height is depthCount_.size() - 1.
   std::vector<std::size_t> depthCount_;
   RoundCost costs_;
   Rng attachRng_;
+  /// Procedure 1's forbidden-slot scratch. Only the mutating procedures
+  /// use it, and a net has one writer, so a member buffer is safe.
+  std::vector<TimeSlot> forbidden_;
 
   // -- shared helpers (cnet.cpp) --
   /// Neighbor range of v: the graph's CSR snapshot when it is fresh
@@ -266,37 +268,35 @@ class ClusterNet {
   /// Meters the "updating your height" messages on the path from
   /// `start` to the root: one per hop, depth(start) + 1 in all.
   void chargeRootPath(NodeId start);
-  void reportSlotToRoot(TimeSlot b, TimeSlot l, TimeSlot u = 0);
+  /// Carries a revised f-slot to the root when it raises the root's
+  /// window knowledge.
+  void reportSlotToRoot(SlotFamily f, TimeSlot slot);
 
   // -- time-slot machinery (timeslots.cpp) --
-  /// Procedure 1 for b-slots: recalculates y's b-slot from the
-  /// constraints of its backbone "children side" C_b(y); meters rounds
-  /// and reports the revised slot toward the root.
-  void calculateBTimeSlot(NodeId y);
-  /// Procedure 1 for l-slots (constrained by pure-member listeners).
-  void calculateLTimeSlot(NodeId y);
-  /// Procedure 1 for Algorithm-1 unified slots (constrained by every
-  /// next-depth neighbor).
-  void calculateUTimeSlot(NodeId y);
+  /// Halves of the receive rule (see interferers()); receives() expects
+  /// an in-net `v`, transmitsTo() an in-net receiver `v`.
+  bool receives(SlotFamily f, NodeId v) const;
+  bool transmitsTo(SlotFamily f, NodeId tx, NodeId v) const;
+  /// Throws unless `v` is an in-net receiver of family f (b, l or u).
+  void requireReceiver(SlotFamily f, NodeId v, const char* what) const;
+  /// Appends the assigned f-slots of v's interferers, except `except`'s.
+  void appendInterfererSlots(SlotFamily f, NodeId v, NodeId except,
+                             std::vector<TimeSlot>& out) const;
+  /// Procedure 1 for family f (b, l or u): recalculates backbone node
+  /// y's f-slot as the least slot that keeps every listener y constrains
+  /// collision-free; meters 1 + |C(y)| rounds and reports the revised
+  /// slot toward the root.
+  void calculateTimeSlot(SlotFamily f, NodeId y);
   /// Assigns the convergecast up-slot of a freshly inserted node.
   void assignUpSlot(NodeId v);
-  /// Shared slot-restoration pass used by insertion and compaction.
-  void restoreReceiverConditions(NodeId v);
   /// Algorithm 3: restores the slot conditions around freshly inserted
   /// leaf `v` (and its possibly-promoted parent chain).
   void updateTimeSlotsForInsert(NodeId v);
-  /// Ensures the relevant condition holds at receiver `v`, recalculating
-  /// its parent's slot when not; returns true when a repair ran.
+  /// Ensures v's receive conditions hold (l or b, then u), recalculating
+  /// its parent's slot where one does not; returns true when a repair
+  /// ran. Insertion, compaction, move-out and recovery all repair
+  /// through it.
   bool repairReceiver(NodeId v);
-  /// Listener sets used by Procedure 1 (inverse of the interferer sets).
-  std::vector<NodeId> bConstrainedListeners(NodeId y) const;
-  std::vector<NodeId> lConstrainedListeners(NodeId y) const;
-  std::vector<NodeId> uConstrainedListeners(NodeId y) const;
-  /// Which slot field a procedure reads/writes.
-  enum class SlotKind : std::uint8_t { kB, kL, kU };
-  /// Slots of `nodes` (only assigned ones), excluding node `except`.
-  std::vector<TimeSlot> slotsOf(const std::vector<NodeId>& nodes,
-                                SlotKind kind, NodeId except) const;
 
   // -- move-out machinery (move_out.cpp) --
   std::vector<NodeId> collectSubtree(NodeId top) const;
@@ -309,7 +309,6 @@ class ClusterNet {
 
   friend class ClusterNetValidator;
   friend class RecoveryManager;
-  friend class ClusterScheduleView;
 };
 
 }  // namespace dsn

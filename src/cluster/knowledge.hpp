@@ -10,6 +10,9 @@
 // process.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "cluster/status.hpp"
@@ -17,6 +20,17 @@
 #include "util/types.hpp"
 
 namespace dsn {
+
+/// The four slot families, one per schedule window. The value indexes
+/// NodeKnowledge::slots and ClusterNet's root maxima, and is the
+/// slot-recompute marker's kind (0/1/2/3 = b/l/u/up).
+enum class SlotFamily : std::uint8_t {
+  kB,   ///< backbone flood (Algorithm 2, step 1)
+  kL,   ///< backbone->leaves hop (Algorithm 2, step 2)
+  kU,   ///< Algorithm 1's whole-CNet flood under Time-Slot Condition 1
+  kUp,  ///< convergecast gather (dsnet extension, DESIGN.md §6)
+};
+inline constexpr std::size_t kSlotFamilies = 4;
 
 /// Everything node v knows about itself. "Knowing a neighbor's knowledge"
 /// (paper Section 4) corresponds to reading another node's record, which
@@ -30,20 +44,19 @@ struct NodeKnowledge {
   std::vector<NodeId> children;       ///< children in CNet
   Depth depth = kNoDepth;             ///< root has depth 0
 
-  /// Transmission slot for the backbone flood (Algorithm 2, step 1).
-  TimeSlot bSlot = kNoSlot;
-  /// Transmission slot for the backbone->leaves hop (step 2).
-  TimeSlot lSlot = kNoSlot;
-  /// Unified slot for Algorithm 1 (flooding the whole CNet depth by
-  /// depth under Time-Slot Condition 1). Independent of bSlot/lSlot.
-  TimeSlot uSlot = kNoSlot;
-  /// Upward slot for convergecast data gathering (dsnet extension, see
-  /// DESIGN.md §6): in its depth's gather window the node reports its
-  /// aggregate to its parent at this slot. The condition is stronger
-  /// than the downward ones — a parent must hear EVERY child, so a
-  /// node's up-slot differs from the up-slots of all same-depth nodes
-  /// that share any previous-depth neighbor with it.
-  TimeSlot upSlot = kNoSlot;
+  /// Transmission slot per family, indexed by SlotFamily; kNoSlot while
+  /// the node has none. The b/l/u families are independent of each
+  /// other. The up family's condition is stronger than the downward
+  /// ones: a parent must hear EVERY child, so a node's up-slot differs
+  /// from the up-slots of all same-depth nodes that share any
+  /// previous-depth neighbor with it.
+  std::array<TimeSlot, kSlotFamilies> slots{kNoSlot, kNoSlot, kNoSlot,
+                                            kNoSlot};
+
+  TimeSlot slot(SlotFamily f) const {
+    return slots[static_cast<std::size_t>(f)];
+  }
+  TimeSlot& slot(SlotFamily f) { return slots[static_cast<std::size_t>(f)]; }
 
   /// Multicast groups this node belongs to (its group-list).
   std::vector<GroupId> groups;

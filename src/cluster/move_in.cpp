@@ -95,9 +95,7 @@ NodeId ClusterNet::moveIn(NodeId v) {
   kv.inNet = true;
   kv.parent = w;
   kv.depth = know_[w].depth + 1;
-  kv.bSlot = kNoSlot;
-  kv.lSlot = kNoSlot;
-  kv.uSlot = kNoSlot;
+  kv.slots.fill(kNoSlot);
   kv.children.clear();
   kv.relayCount.clear();
   know_[w].children.push_back(v);

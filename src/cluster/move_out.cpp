@@ -52,10 +52,7 @@ void ClusterNet::detachNode(NodeId v) {
   k.parent = kInvalidNode;
   k.children.clear();
   k.depth = kNoDepth;
-  k.bSlot = kNoSlot;
-  k.lSlot = kNoSlot;
-  k.uSlot = kNoSlot;
-  k.upSlot = kNoSlot;
+  k.slots.fill(kNoSlot);
   k.status = NodeStatus::kPureMember;
   k.relayCount.clear();
   // k.groups survives: a re-inserted node keeps its memberships.
@@ -180,10 +177,7 @@ MoveOutReport ClusterNet::withdrawRoot() {
 
   for (NodeId t : subtree) detachNode(t);
   root_ = kInvalidNode;
-  rootMaxB_ = 0;
-  rootMaxL_ = 0;
-  rootMaxU_ = 0;
-  rootMaxUp_ = 0;
+  rootMax_.fill(0);
 
   // The sweep seeds a fresh root from the lowest live id, then grows as
   // in the non-root case. A crashed member that recovery has not pruned

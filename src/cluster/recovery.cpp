@@ -48,8 +48,8 @@ void RecoveryManager::chargeHeartbeat() {
   // One beacon window (heads in their u-slots) plus one response window
   // (members in their up-slots). Uses the root's monotone window
   // knowledge — the windows actually scheduled on air.
-  net_.costs_.heartbeat += static_cast<std::int64_t>(net_.rootMaxU_) +
-                           static_cast<std::int64_t>(net_.rootMaxUp_);
+  net_.costs_.heartbeat += static_cast<std::int64_t>(net_.rootMaxUSlot()) +
+                           static_cast<std::int64_t>(net_.rootMaxUpSlot());
 }
 
 RecoveryReport RecoveryManager::repair() {
@@ -129,10 +129,7 @@ RecoveryReport RecoveryManager::repair() {
 
   if (rootDead) {
     net.root_ = kInvalidNode;
-    net.rootMaxB_ = 0;
-    net.rootMaxL_ = 0;
-    net.rootMaxU_ = 0;
-    net.rootMaxUp_ = 0;
+    net.rootMax_.fill(0);
   }
 
   // Move-out Steps 1/2: survivors re-join one by one through the re-join

@@ -1,6 +1,7 @@
 // Incremental time-slot assignment (paper Section 4).
 //
-// Three slot families are maintained, one per flood phase:
+// Three slot families are maintained for the downward floods, one per
+// flood phase, under one receive rule (ClusterNet::interferers):
 //  * u-slots — Algorithm 1 floods the whole CNet depth by depth, so in
 //    the window a node listens only previous-depth internal (= backbone)
 //    nodes transmit. Time-Slot Condition 1 applies to every non-root
@@ -18,11 +19,14 @@
 // A receiver's condition holds when some interferer's slot is *unique*
 // within the interferer set — that transmitter gets through. Slots are
 // assigned lazily and only ever changed through Procedure 1
-// (calculateXTimeSlot), which consults every listener constrained by the
+// (calculateTimeSlot), which consults every listener constrained by the
 // changing node and picks the minimum positive slot that keeps each tight
-// listener deliverable; this preserves all conditions inductively.
+// listener deliverable; this preserves all conditions inductively. The
+// convergecast up-slots follow a different rule (a parent must hear every
+// child) and keep their own assignment, assignUpSlot.
 
 #include <algorithm>
+#include <span>
 
 #include "cluster/cnet.hpp"
 #include "obs/flight.hpp"
@@ -32,20 +36,20 @@ namespace dsn {
 
 namespace {
 
-/// Flight-recorder slot-recompute marker. `kind`: 0 = B, 1 = L, 2 = U,
-/// 3 = up (matches the FrType::kSlotRecompute aux contract). Slot
-/// assignments are rare relative to radio traffic, so they are recorded
-/// whenever the cluster category is live, independent of round sampling.
-void recordSlotRecompute(NodeId y, TimeSlot slot, std::uint16_t kind) {
+/// Flight-recorder slot-recompute marker; the kind is the family's index
+/// (0 = B, 1 = L, 2 = U, 3 = up — the FrType::kSlotRecompute aux
+/// contract). Slot assignments are rare relative to radio traffic, so
+/// they are recorded whenever the cluster category is live, independent
+/// of round sampling.
+void recordSlotRecompute(NodeId y, TimeSlot slot, SlotFamily f) {
   if (obs::FlightRecorder* fr = obs::recorderFor<obs::kFrCatCluster>())
     fr->record(obs::makeFrEvent(obs::FrType::kSlotRecompute, 0, y,
-                                static_cast<std::uint32_t>(slot), 0, kind));
+                                static_cast<std::uint32_t>(slot), 0,
+                                static_cast<std::uint16_t>(f)));
 }
 
-/// Number of values occurring exactly once in `slots`. (The callers only
-/// ever need the count, so no ordered set is materialized — sort the
-/// local copy and count singleton runs.)
-std::size_t uniqueValueCount(std::vector<TimeSlot> slots) {
+/// Sorts `slots` and counts the values occurring exactly once in it.
+std::size_t singletonCount(std::span<TimeSlot> slots) {
   std::sort(slots.begin(), slots.end());
   std::size_t unique = 0;
   for (std::size_t i = 0; i < slots.size();) {
@@ -57,8 +61,9 @@ std::size_t uniqueValueCount(std::vector<TimeSlot> slots) {
   return unique;
 }
 
-/// Smallest positive integer not contained in `taken` (duplicates fine).
-TimeSlot minimumFreeSlot(std::vector<TimeSlot> taken) {
+/// Smallest positive integer not contained in `taken` (duplicates fine);
+/// sorts `taken`.
+TimeSlot minimumFreeSlot(std::vector<TimeSlot>& taken) {
   std::sort(taken.begin(), taken.end());
   TimeSlot candidate = 1;
   for (TimeSlot t : taken) {
@@ -73,187 +78,93 @@ TimeSlot minimumFreeSlot(std::vector<TimeSlot> taken) {
 
 }  // namespace
 
-// ---- Interferer sets (who transmits while v listens) ----
+// ---- The receive rule (who transmits while v listens) ----
 
-std::vector<NodeId> ClusterNet::bInterferers(NodeId v) const {
-  requireInNet(v, "bInterferers");
-  std::vector<NodeId> out;
-  const Depth d = know_[v].depth;
+bool ClusterNet::receives(SlotFamily f, NodeId v) const {
+  const NodeKnowledge& k = know_[v];
+  switch (f) {
+    case SlotFamily::kB:
+      return isBackboneStatus(k.status) && k.depth > 0;
+    case SlotFamily::kL:
+      return k.status == NodeStatus::kPureMember;
+    case SlotFamily::kU:
+      return k.depth > 0;
+    case SlotFamily::kUp:
+      break;
+  }
+  return false;
+}
+
+bool ClusterNet::transmitsTo(SlotFamily f, NodeId tx, NodeId v) const {
+  if (!contains(tx) || !isBackboneStatus(know_[tx].status)) return false;
+  return know_[tx].depth == know_[v].depth - 1 ||
+         (f == SlotFamily::kL && config_.slotPolicy == SlotPolicy::kStrict);
+}
+
+void ClusterNet::requireReceiver(SlotFamily f, NodeId v,
+                                 const char* what) const {
+  requireInNet(v, what);
+  DSN_REQUIRE(receives(f, v),
+              std::string(what) +
+                  ": node does not receive in this slot family (b: non-root "
+                  "backbone, l: pure member, u: non-root)");
+}
+
+void ClusterNet::appendInterfererSlots(SlotFamily f, NodeId v, NodeId except,
+                                       std::vector<TimeSlot>& out) const {
   for (NodeId u : adj(v)) {
-    if (!contains(u)) continue;
-    if (isBackboneStatus(know_[u].status) && know_[u].depth == d - 1)
-      out.push_back(u);
-  }
-  return out;
-}
-
-std::vector<NodeId> ClusterNet::uInterferers(NodeId v) const {
-  // Same node set as bInterferers (previous-depth backbone neighbors);
-  // evaluated over u-slots by the callers.
-  return bInterferers(v);
-}
-
-std::vector<NodeId> ClusterNet::lInterferers(NodeId v) const {
-  requireInNet(v, "lInterferers");
-  std::vector<NodeId> out;
-  const Depth d = know_[v].depth;
-  for (NodeId u : adj(v)) {
-    if (!contains(u)) continue;
-    if (!isBackboneStatus(know_[u].status)) continue;
-    if (config_.slotPolicy == SlotPolicy::kStrict ||
-        know_[u].depth == d - 1)
-      out.push_back(u);
-  }
-  return out;
-}
-
-// ---- Constrained listener sets (who y must keep deliverable) ----
-
-std::vector<NodeId> ClusterNet::bConstrainedListeners(NodeId y) const {
-  requireInNet(y, "bConstrainedListeners");
-  std::vector<NodeId> out;
-  const Depth d = know_[y].depth;
-  for (NodeId u : adj(y)) {
-    if (!contains(u)) continue;
-    if (isBackboneStatus(know_[u].status) && know_[u].depth == d + 1)
-      out.push_back(u);
-  }
-  return out;
-}
-
-std::vector<NodeId> ClusterNet::lConstrainedListeners(NodeId y) const {
-  requireInNet(y, "lConstrainedListeners");
-  std::vector<NodeId> out;
-  const Depth d = know_[y].depth;
-  for (NodeId u : adj(y)) {
-    if (!contains(u)) continue;
-    if (know_[u].status != NodeStatus::kPureMember) continue;
-    if (config_.slotPolicy == SlotPolicy::kStrict ||
-        know_[u].depth == d + 1)
-      out.push_back(u);
-  }
-  return out;
-}
-
-std::vector<NodeId> ClusterNet::uConstrainedListeners(NodeId y) const {
-  requireInNet(y, "uConstrainedListeners");
-  std::vector<NodeId> out;
-  const Depth d = know_[y].depth;
-  for (NodeId u : adj(y)) {
-    if (contains(u) && know_[u].depth == d + 1) out.push_back(u);
-  }
-  return out;
-}
-
-std::vector<TimeSlot> ClusterNet::slotsOf(const std::vector<NodeId>& nodes,
-                                          SlotKind kind,
-                                          NodeId except) const {
-  std::vector<TimeSlot> out;
-  out.reserve(nodes.size());
-  for (NodeId u : nodes) {
-    if (u == except) continue;
-    TimeSlot s = kNoSlot;
-    switch (kind) {
-      case SlotKind::kB:
-        s = know_[u].bSlot;
-        break;
-      case SlotKind::kL:
-        s = know_[u].lSlot;
-        break;
-      case SlotKind::kU:
-        s = know_[u].uSlot;
-        break;
-    }
+    if (u == except || !transmitsTo(f, u, v)) continue;
+    const TimeSlot s = know_[u].slot(f);
     if (s != kNoSlot) out.push_back(s);
   }
+}
+
+std::vector<NodeId> ClusterNet::interferers(SlotFamily f, NodeId v) const {
+  requireReceiver(f, v, "interferers");
+  std::vector<NodeId> out;
+  for (NodeId u : adj(v))
+    if (transmitsTo(f, u, v)) out.push_back(u);
   return out;
 }
 
-// ---- Conditions ----
-
-bool ClusterNet::bConditionHolds(NodeId v) const {
-  requireInNet(v, "bConditionHolds");
-  DSN_REQUIRE(isBackboneStatus(know_[v].status) && know_[v].depth > 0,
-              "bConditionHolds: needs a non-root backbone node");
-  return uniqueValueCount(
-             slotsOf(bInterferers(v), SlotKind::kB, kInvalidNode)) > 0;
-}
-
-bool ClusterNet::lConditionHolds(NodeId v) const {
-  requireInNet(v, "lConditionHolds");
-  DSN_REQUIRE(know_[v].status == NodeStatus::kPureMember,
-              "lConditionHolds: needs a pure member");
-  return uniqueValueCount(
-             slotsOf(lInterferers(v), SlotKind::kL, kInvalidNode)) > 0;
-}
-
-bool ClusterNet::uConditionHolds(NodeId v) const {
-  requireInNet(v, "uConditionHolds");
-  DSN_REQUIRE(know_[v].depth > 0,
-              "uConditionHolds: the root does not receive");
-  return uniqueValueCount(
-             slotsOf(uInterferers(v), SlotKind::kU, kInvalidNode)) > 0;
+bool ClusterNet::conditionHolds(SlotFamily f, NodeId v) const {
+  requireReceiver(f, v, "conditionHolds");
+  // Per thread, not a member: validation reads one shared net from
+  // several threads at once.
+  thread_local std::vector<TimeSlot> slots;
+  slots.clear();
+  appendInterfererSlots(f, v, kInvalidNode, slots);
+  return singletonCount(slots) > 0;
 }
 
 // ---- Procedure 1 (paper Section 4) ----
 
-void ClusterNet::calculateBTimeSlot(NodeId y) {
-  requireInNet(y, "calculateBTimeSlot");
-  DSN_REQUIRE(isBackboneStatus(know_[y].status),
-              "calculateBTimeSlot: only backbone nodes carry b-slots");
+void ClusterNet::calculateTimeSlot(SlotFamily f, NodeId y) {
+  requireInNet(y, "calculateTimeSlot");
+  DSN_REQUIRE(f != SlotFamily::kUp && isBackboneStatus(know_[y].status),
+              "calculateTimeSlot: only backbone nodes carry b/l/u-slots");
 
-  const std::vector<NodeId> listeners = bConstrainedListeners(y);
+  // Every listener y constrains contributes the slots of its other
+  // interferers, unless two of them are unique already (then it is safe
+  // whatever y picks).
+  std::int64_t listeners = 0;
+  forbidden_.clear();
+  for (NodeId v : adj(y)) {
+    if (!contains(v) || !receives(f, v) || !transmitsTo(f, y, v)) continue;
+    ++listeners;
+    const std::size_t mark = forbidden_.size();
+    appendInterfererSlots(f, v, y, forbidden_);
+    if (singletonCount(std::span(forbidden_).subspan(mark)) >= 2)
+      forbidden_.resize(mark);
+  }
   // Procedure 1(i): one round for y's request, then each listener answers
   // in turn (Lemma 2(1): 1 + |C(y)| rounds).
-  costs_.slotUpdate += 1 + static_cast<std::int64_t>(listeners.size());
+  costs_.slotUpdate += 1 + listeners;
 
-  std::vector<TimeSlot> forbidden;
-  for (NodeId v : listeners) {
-    const auto slots = slotsOf(bInterferers(v), SlotKind::kB, y);
-    if (uniqueValueCount(slots) >= 2) continue;  // v safe regardless
-    forbidden.insert(forbidden.end(), slots.begin(), slots.end());
-  }
-  know_[y].bSlot = minimumFreeSlot(forbidden);
-  recordSlotRecompute(y, know_[y].bSlot, 0);
-  reportSlotToRoot(know_[y].bSlot, 0, 0);
-}
-
-void ClusterNet::calculateLTimeSlot(NodeId y) {
-  requireInNet(y, "calculateLTimeSlot");
-  DSN_REQUIRE(isBackboneStatus(know_[y].status),
-              "calculateLTimeSlot: only backbone nodes carry l-slots");
-
-  const std::vector<NodeId> listeners = lConstrainedListeners(y);
-  costs_.slotUpdate += 1 + static_cast<std::int64_t>(listeners.size());
-
-  std::vector<TimeSlot> forbidden;
-  for (NodeId v : listeners) {
-    const auto slots = slotsOf(lInterferers(v), SlotKind::kL, y);
-    if (uniqueValueCount(slots) >= 2) continue;
-    forbidden.insert(forbidden.end(), slots.begin(), slots.end());
-  }
-  know_[y].lSlot = minimumFreeSlot(forbidden);
-  recordSlotRecompute(y, know_[y].lSlot, 1);
-  reportSlotToRoot(0, know_[y].lSlot, 0);
-}
-
-void ClusterNet::calculateUTimeSlot(NodeId y) {
-  requireInNet(y, "calculateUTimeSlot");
-  DSN_REQUIRE(isBackboneStatus(know_[y].status),
-              "calculateUTimeSlot: only internal nodes carry u-slots");
-
-  const std::vector<NodeId> listeners = uConstrainedListeners(y);
-  costs_.slotUpdate += 1 + static_cast<std::int64_t>(listeners.size());
-
-  std::vector<TimeSlot> forbidden;
-  for (NodeId v : listeners) {
-    const auto slots = slotsOf(uInterferers(v), SlotKind::kU, y);
-    if (uniqueValueCount(slots) >= 2) continue;
-    forbidden.insert(forbidden.end(), slots.begin(), slots.end());
-  }
-  know_[y].uSlot = minimumFreeSlot(forbidden);
-  recordSlotRecompute(y, know_[y].uSlot, 2);
-  reportSlotToRoot(0, 0, know_[y].uSlot);
+  TimeSlot& slot = know_[y].slot(f);
+  slot = minimumFreeSlot(forbidden_);
+  recordSlotRecompute(y, slot, f);
+  reportSlotToRoot(f, slot);
 }
 
 // ---- Convergecast up-slots (dsnet extension, DESIGN.md §6) ----
@@ -266,13 +177,14 @@ bool ClusterNet::upConditionHolds(NodeId v) const {
   // only the parent edge is load-bearing.)
   requireInNet(v, "upConditionHolds");
   DSN_REQUIRE(v != root_, "the root reports to no one");
-  const TimeSlot mine = know_[v].upSlot;
+  const TimeSlot mine = know_[v].slot(SlotFamily::kUp);
   if (mine == kNoSlot) return false;
   const Depth d = know_[v].depth;
   const NodeId p = know_[v].parent;
   for (NodeId u : adj(p)) {
     if (u == v || !contains(u)) continue;
-    if (know_[u].depth == d && know_[u].upSlot == mine) return false;
+    if (know_[u].depth == d && know_[u].slot(SlotFamily::kUp) == mine)
+      return false;
   }
   return true;
 }
@@ -282,24 +194,22 @@ void ClusterNet::assignUpSlot(NodeId v) {
   // previous-depth neighbor with v — then every potential listener can
   // separate v from all other transmitters in its gather window.
   const Depth d = know_[v].depth;
-  std::vector<TimeSlot> forbidden;
+  forbidden_.clear();
   std::int64_t listeners = 0;
   for (NodeId q : adj(v)) {
     if (!contains(q) || know_[q].depth != d - 1) continue;
     ++listeners;
     for (NodeId u : adj(q)) {
-      if (u == v || !contains(u)) continue;
-      if (know_[u].depth == d && know_[u].upSlot != kNoSlot)
-        forbidden.push_back(know_[u].upSlot);
+      if (u == v || !contains(u) || know_[u].depth != d) continue;
+      const TimeSlot s = know_[u].slot(SlotFamily::kUp);
+      if (s != kNoSlot) forbidden_.push_back(s);
     }
   }
   costs_.slotUpdate += 1 + listeners;
-  know_[v].upSlot = minimumFreeSlot(forbidden);
-  recordSlotRecompute(v, know_[v].upSlot, 3);
-  if (know_[v].upSlot > rootMaxUp_) {
-    rootMaxUp_ = know_[v].upSlot;
-    costs_.rootPath += root_ != kInvalidNode ? height() : 0;
-  }
+  TimeSlot& slot = know_[v].slot(SlotFamily::kUp);
+  slot = minimumFreeSlot(forbidden_);
+  recordSlotRecompute(v, slot, SlotFamily::kUp);
+  reportSlotToRoot(SlotFamily::kUp, slot);
 }
 
 // ---- Algorithm 3 (insertion repair) ----
@@ -319,36 +229,22 @@ bool ClusterNet::repairReceiver(NodeId v) {
   // join lands between a crash and the batched repair of the same churn
   // tick and promotes a member whose own parent is the dead node.
   if (!graph_.hasEdge(v, w)) return false;
+
+  // v listens in Algorithm 2's window for its status, then in Algorithm
+  // 1's, where every non-root node is a receiver.
   bool repaired = false;
-
-  if (know_[v].status == NodeStatus::kPureMember) {
-    if (!lConditionHolds(v)) {
-      calculateLTimeSlot(w);
-      DSN_CHECK(lConditionHolds(v),
-                "parent l-slot recalculation failed to restore Condition 2");
-      repaired = true;
-    }
-  } else {
-    if (!bConditionHolds(v)) {
-      calculateBTimeSlot(w);
-      DSN_CHECK(bConditionHolds(v),
-                "parent b-slot recalculation failed to restore Condition 1");
-      repaired = true;
-    }
-  }
-
-  // Algorithm-1 slot space: every non-root node is a u-receiver.
-  if (!uConditionHolds(v)) {
-    calculateUTimeSlot(w);
-    DSN_CHECK(uConditionHolds(v),
-              "parent u-slot recalculation failed to restore Condition 1");
+  const SlotFamily own = know_[v].status == NodeStatus::kPureMember
+                             ? SlotFamily::kL
+                             : SlotFamily::kB;
+  for (const SlotFamily f : {own, SlotFamily::kU}) {
+    if (conditionHolds(f, v)) continue;
+    calculateTimeSlot(f, w);
+    DSN_CHECK(conditionHolds(f, v),
+              "parent slot recalculation failed to restore the receiver's "
+              "Time-Slot Condition");
     repaired = true;
   }
   return repaired;
-}
-
-void ClusterNet::restoreReceiverConditions(NodeId v) {
-  repairReceiver(v);
 }
 
 std::int64_t ClusterNet::compactSlots() {
@@ -366,20 +262,12 @@ std::int64_t ClusterNet::compactSlots() {
   for (std::size_t i = 0; i < order.size(); ++i)
     for (NodeId c : know_[order[i]].children) order.push_back(c);
 
-  for (NodeId v : order) {
-    know_[v].bSlot = kNoSlot;
-    know_[v].lSlot = kNoSlot;
-    know_[v].uSlot = kNoSlot;
-    know_[v].upSlot = kNoSlot;
-  }
-  rootMaxB_ = 0;
-  rootMaxL_ = 0;
-  rootMaxU_ = 0;
-  rootMaxUp_ = 0;
+  for (NodeId v : order) know_[v].slots.fill(kNoSlot);
+  rootMax_.fill(0);
 
   for (NodeId v : order) {
     if (v == root_) continue;
-    restoreReceiverConditions(v);
+    repairReceiver(v);
     assignUpSlot(v);
   }
   // Conditions of already-processed nodes cannot have been broken: every

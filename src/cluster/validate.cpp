@@ -6,9 +6,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "cluster/backbone.hpp"
-#include "graph/algorithms.hpp"
-
 namespace dsn {
 
 std::string ValidationReport::summary() const {
@@ -233,25 +230,25 @@ class Checker {
 
   void checkSlots() {
     flushingScope([&] {
-      const BackboneStats stats = computeBackboneStats(net_);
       // Slots are chosen under the degrees *at assignment time*; after
-      // shrinkage the sound bound uses the historical peak degree.
-      const std::size_t peak =
-          std::max(net_.peakDegree(), stats.degreeG);
+      // shrinkage the sound bound uses the historical peak degree (and
+      // never less than today's D).
+      std::size_t peak = net_.peakDegree();
+      for (NodeId v : nodes_) peak = std::max(peak, g_.degree(v));
       const std::size_t peakPairBound = peak * (peak + 1) / 2 + 1;
       const std::size_t peakSquareBound = peak * peak + 1;
       for (NodeId v : nodes_) {
         const NodeStatus s = net_.status(v);
         if (s == NodeStatus::kPureMember) {
-          if (!net_.lConditionHolds(v))
+          if (!net_.conditionHolds(SlotFamily::kL, v))
             fail("slot-condition", v)
                 << "Time-Slot Condition (l) violated at member " << v;
         } else if (v != net_.root()) {
-          if (!net_.bConditionHolds(v))
+          if (!net_.conditionHolds(SlotFamily::kB, v))
             fail("slot-condition", v)
                 << "Time-Slot Condition (b) violated at backbone node " << v;
         }
-        if (v != net_.root() && !net_.uConditionHolds(v))
+        if (v != net_.root() && !net_.conditionHolds(SlotFamily::kU, v))
           fail("slot-condition", v)
               << "Time-Slot Condition 1 (u) violated at node " << v;
         if (v != net_.root()) {
@@ -291,22 +288,25 @@ class Checker {
 
   void checkRootKnowledge() {
     flushingScope([&] {
-      if (net_.rootMaxBSlot() < net_.trueMaxBSlot())
-        fail("root-knowledge", net_.root())
-            << "root's delta (" << net_.rootMaxBSlot()
-            << ") below true max b-slot (" << net_.trueMaxBSlot() << ")";
-      if (net_.rootMaxLSlot() < net_.trueMaxLSlot())
-        fail("root-knowledge", net_.root())
-            << "root's Delta (" << net_.rootMaxLSlot()
-            << ") below true max l-slot (" << net_.trueMaxLSlot() << ")";
-      if (net_.rootMaxUSlot() < net_.trueMaxUSlot())
-        fail("root-knowledge", net_.root())
-            << "root's Algorithm-1 window (" << net_.rootMaxUSlot()
-            << ") below true max u-slot (" << net_.trueMaxUSlot() << ")";
-      if (net_.rootMaxUpSlot() < net_.trueMaxUpSlot())
-        fail("root-knowledge", net_.root())
-            << "root's gather window (" << net_.rootMaxUpSlot()
-            << ") below true max up-slot (" << net_.trueMaxUpSlot() << ")";
+      // Each family with the name of its window and of its slots.
+      struct Window {
+        SlotFamily family;
+        const char* window;
+        const char* slot;
+      };
+      for (const Window w : {Window{SlotFamily::kB, "delta", "b-slot"},
+                             Window{SlotFamily::kL, "Delta", "l-slot"},
+                             Window{SlotFamily::kU, "Algorithm-1 window",
+                                    "u-slot"},
+                             Window{SlotFamily::kUp, "gather window",
+                                    "up-slot"}}) {
+        const TimeSlot known = net_.rootMaxSlot(w.family);
+        const TimeSlot truth = net_.trueMaxSlot(w.family);
+        if (known < truth)
+          fail("root-knowledge", net_.root())
+              << "root's " << w.window << " (" << known
+              << ") below true max " << w.slot << " (" << truth << ")";
+      }
     });
   }
 

@@ -60,7 +60,7 @@ TEST_F(PruningGapTest, CounterexampleStructureIsAsDocumented) {
 
   // Exactly one interferer holds an l-slot (the guaranteed provider)...
   NodeId provider = kInvalidNode;
-  for (NodeId u : cn.lInterferers(starved)) {
+  for (NodeId u : cn.interferers(SlotFamily::kL, starved)) {
     if (cn.lSlot(u) != kNoSlot) {
       ASSERT_EQ(provider, kInvalidNode) << "expected a single provider";
       provider = u;

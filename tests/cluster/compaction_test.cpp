@@ -23,10 +23,10 @@ TEST(CompactionTest, FreshNetStaysValidAndExact) {
   EXPECT_EQ(validationErrors(*f.net), "");
   // After compaction the root's knowledge is exact (the incremental
   // discipline only guarantees an upper bound).
-  EXPECT_EQ(f.net->rootMaxBSlot(), f.net->trueMaxBSlot());
-  EXPECT_EQ(f.net->rootMaxLSlot(), f.net->trueMaxLSlot());
-  EXPECT_EQ(f.net->rootMaxUSlot(), f.net->trueMaxUSlot());
-  EXPECT_EQ(f.net->rootMaxUpSlot(), f.net->trueMaxUpSlot());
+  EXPECT_EQ(f.net->rootMaxBSlot(), f.net->trueMaxSlot(SlotFamily::kB));
+  EXPECT_EQ(f.net->rootMaxLSlot(), f.net->trueMaxSlot(SlotFamily::kL));
+  EXPECT_EQ(f.net->rootMaxUSlot(), f.net->trueMaxSlot(SlotFamily::kU));
+  EXPECT_EQ(f.net->rootMaxUpSlot(), f.net->trueMaxSlot(SlotFamily::kUp));
 }
 
 TEST(CompactionTest, TightensWindowsAfterChurn) {
@@ -43,7 +43,7 @@ TEST(CompactionTest, TightensWindowsAfterChurn) {
   EXPECT_EQ(validationErrors(*f.net), "");
   EXPECT_LE(f.net->rootMaxLSlot(), staleL);
   EXPECT_LE(f.net->rootMaxUpSlot(), staleUp);
-  EXPECT_EQ(f.net->rootMaxLSlot(), f.net->trueMaxLSlot());
+  EXPECT_EQ(f.net->rootMaxLSlot(), f.net->trueMaxSlot(SlotFamily::kL));
 }
 
 TEST(CompactionTest, StructureUnchangedOnlySlots) {

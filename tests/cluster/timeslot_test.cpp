@@ -2,6 +2,9 @@
 // Lemma 2/3 bounds and the root's monotone knowledge.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
 #include "cluster/backbone.hpp"
 #include "cluster/validate.hpp"
 #include "tests/cluster/cluster_test_util.hpp"
@@ -19,8 +22,9 @@ TEST(TimeSlotTest, SingleClusterAssignsHeadLSlot) {
   auto f = buildNet(pts, 50.0);
   EXPECT_NE(f.net->lSlot(0), kNoSlot);
   for (NodeId v = 1; v < 5; ++v) {
-    EXPECT_TRUE(f.net->lConditionHolds(v));
-    EXPECT_EQ(f.net->lInterferers(v), std::vector<NodeId>{0});
+    EXPECT_TRUE(f.net->conditionHolds(SlotFamily::kL, v));
+    EXPECT_EQ(f.net->interferers(SlotFamily::kL, v),
+              std::vector<NodeId>{0});
   }
 }
 
@@ -38,8 +42,8 @@ TEST(TimeSlotTest, LazySlots_FreshHeadHasNone) {
   // receive the floods.
   EXPECT_NE(net.bSlot(1), kNoSlot);
   EXPECT_NE(net.uSlot(1), kNoSlot);
-  EXPECT_TRUE(net.bConditionHolds(2));
-  EXPECT_TRUE(net.uConditionHolds(2));
+  EXPECT_TRUE(net.conditionHolds(SlotFamily::kB, 2));
+  EXPECT_TRUE(net.conditionHolds(SlotFamily::kU, 2));
 }
 
 TEST(TimeSlotTest, SlotAppearsWhenFirstChildArrives) {
@@ -52,7 +56,7 @@ TEST(TimeSlotTest, SlotAppearsWhenFirstChildArrives) {
   ASSERT_EQ(net.lSlot(2), kNoSlot);
   net.moveIn(3);  // member under head 2
   EXPECT_NE(net.lSlot(2), kNoSlot);
-  EXPECT_TRUE(net.lConditionHolds(3));
+  EXPECT_TRUE(net.conditionHolds(SlotFamily::kL, 3));
 }
 
 TEST(TimeSlotTest, InterfererSetsMatchDefinition) {
@@ -61,19 +65,19 @@ TEST(TimeSlotTest, InterfererSetsMatchDefinition) {
   const auto& g = *f.graph;
   for (NodeId v : net.netNodes()) {
     if (net.isBackbone(v) && net.depth(v) > 0) {
-      for (NodeId u : net.bInterferers(v)) {
+      for (NodeId u : net.interferers(SlotFamily::kB, v)) {
         EXPECT_TRUE(g.hasEdge(u, v));
         EXPECT_TRUE(net.isBackbone(u));
         EXPECT_EQ(net.depth(u), net.depth(v) - 1);
       }
     }
     if (net.status(v) == NodeStatus::kPureMember) {
-      for (NodeId u : net.lInterferers(v)) {
+      for (NodeId u : net.interferers(SlotFamily::kL, v)) {
         EXPECT_TRUE(g.hasEdge(u, v));
         EXPECT_TRUE(net.isBackbone(u));  // strict: any backbone neighbor
       }
       // Parent is always in the interferer set.
-      const auto inter = net.lInterferers(v);
+      const auto inter = net.interferers(SlotFamily::kL, v);
       EXPECT_NE(std::find(inter.begin(), inter.end(), net.parent(v)),
                 inter.end());
     }
@@ -87,7 +91,7 @@ TEST(TimeSlotTest, PaperLocalRestrictsToPreviousDepth) {
   const auto& net = *f.net;
   for (NodeId v : net.netNodes()) {
     if (net.status(v) != NodeStatus::kPureMember) continue;
-    for (NodeId u : net.lInterferers(v))
+    for (NodeId u : net.interferers(SlotFamily::kL, v))
       EXPECT_EQ(net.depth(u), net.depth(v) - 1);
   }
 }
@@ -99,12 +103,12 @@ TEST(TimeSlotTest, StrictPolicyNeverLoosensConditions) {
   const auto& net = *f.net;
   for (NodeId v : net.netNodes()) {
     if (net.status(v) == NodeStatus::kPureMember) {
-      EXPECT_TRUE(net.lConditionHolds(v));
+      EXPECT_TRUE(net.conditionHolds(SlotFamily::kL, v));
     } else if (v != net.root()) {
-      EXPECT_TRUE(net.bConditionHolds(v));
+      EXPECT_TRUE(net.conditionHolds(SlotFamily::kB, v));
     }
     if (v != net.root()) {
-      EXPECT_TRUE(net.uConditionHolds(v));
+      EXPECT_TRUE(net.conditionHolds(SlotFamily::kU, v));
     }
   }
 }
@@ -114,9 +118,9 @@ TEST(TimeSlotTest, RootKnowledgeIsMonotoneUpperBound) {
   // The root's knowledge is a sound upper bound; it may exceed the true
   // maxima when a recalculation shrank some node's slot (the paper only
   // ever reports increases to the root).
-  EXPECT_GE(f.net->rootMaxBSlot(), f.net->trueMaxBSlot());
-  EXPECT_GE(f.net->rootMaxLSlot(), f.net->trueMaxLSlot());
-  EXPECT_GE(f.net->rootMaxUSlot(), f.net->trueMaxUSlot());
+  EXPECT_GE(f.net->rootMaxBSlot(), f.net->trueMaxSlot(SlotFamily::kB));
+  EXPECT_GE(f.net->rootMaxLSlot(), f.net->trueMaxSlot(SlotFamily::kL));
+  EXPECT_GE(f.net->rootMaxUSlot(), f.net->trueMaxSlot(SlotFamily::kU));
   EXPECT_GT(f.net->rootMaxLSlot(), 0u);
 }
 
@@ -127,9 +131,9 @@ TEST(TimeSlotTest, RootKnowledgeStaysUpperBoundUnderChurn) {
     const auto nodes = f.net->netNodes();
     if (nodes.size() <= 2) break;
     f.net->moveOut(nodes[rng.pickIndex(nodes)]);
-    EXPECT_GE(f.net->rootMaxBSlot(), f.net->trueMaxBSlot());
-    EXPECT_GE(f.net->rootMaxLSlot(), f.net->trueMaxLSlot());
-    EXPECT_GE(f.net->rootMaxUSlot(), f.net->trueMaxUSlot());
+    EXPECT_GE(f.net->rootMaxBSlot(), f.net->trueMaxSlot(SlotFamily::kB));
+    EXPECT_GE(f.net->rootMaxLSlot(), f.net->trueMaxSlot(SlotFamily::kL));
+    EXPECT_GE(f.net->rootMaxUSlot(), f.net->trueMaxSlot(SlotFamily::kU));
   }
 }
 
@@ -163,10 +167,53 @@ TEST(TimeSlotTest, ConditionQueriesValidateStatus) {
   ClusterNet net(g);
   net.buildAll({0, 1});
   // 1 is a pure member: asking for its b-condition is a contract error.
-  EXPECT_THROW(net.bConditionHolds(1), PreconditionError);
+  EXPECT_THROW(net.conditionHolds(SlotFamily::kB, 1), PreconditionError);
   // Root does not receive.
-  EXPECT_THROW(net.uConditionHolds(0), PreconditionError);
-  EXPECT_THROW(net.lConditionHolds(0), PreconditionError);
+  EXPECT_THROW(net.conditionHolds(SlotFamily::kU, 0), PreconditionError);
+  EXPECT_THROW(net.conditionHolds(SlotFamily::kL, 0), PreconditionError);
+  // Up-slots follow their own rule (upConditionHolds).
+  EXPECT_THROW(net.conditionHolds(SlotFamily::kUp, 1), PreconditionError);
+}
+
+TEST(TimeSlotTest, SharedNetChecksMatchSerialAcrossThreads) {
+  // Read-only serve jobs validate one shared warm net from several
+  // workers at once, so the condition checks must keep their scratch per
+  // thread. Extra radio edges jam some receivers and join some heads, so
+  // the outcome mixes holding and failing checks.
+  auto f = randomNet(78, 200);
+  Rng rng(78);
+  for (int i = 0; i < 40; ++i) {
+    const auto a = static_cast<NodeId>(rng.uniform(200));
+    const auto b = static_cast<NodeId>(rng.uniform(200));
+    if (a != b && !f.graph->hasEdge(a, b)) f.graph->addEdge(a, b);
+  }
+  const ClusterNet& net = *f.net;
+  // One pass: the validator's report, then every receiver's b-or-l and
+  // u condition in node order.
+  const auto pass = [&net] {
+    std::string out = ClusterNetValidator::validate(net).summary();
+    for (NodeId v : net.netNodes()) {
+      if (v == net.root()) continue;
+      const SlotFamily own =
+          net.isBackbone(v) ? SlotFamily::kB : SlotFamily::kL;
+      out += net.conditionHolds(own, v) ? '1' : '0';
+      out += net.conditionHolds(SlotFamily::kU, v) ? '1' : '0';
+    }
+    return out;
+  };
+  const std::string serial = pass();
+  ASSERT_NE(serial.find("Condition"), std::string::npos);
+  ASSERT_NE(serial.find('1'), std::string::npos);
+
+  std::vector<std::string> results(4);
+  {
+    std::vector<std::jthread> workers;
+    for (std::string& r : results)
+      workers.emplace_back([&r, &pass] {
+        for (int i = 0; i < 8; ++i) r = pass();
+      });
+  }
+  for (const std::string& r : results) EXPECT_EQ(r, serial);
 }
 
 }  // namespace

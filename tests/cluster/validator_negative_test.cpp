@@ -73,7 +73,7 @@ TEST(ValidatorNegativeTest, SlotConditionBreakIsFlagged) {
   // backbone node x elsewhere with the same l-slot; connect x to v.
   bool mutated = false;
   for (NodeId v : net.pureMembers()) {
-    const auto inter = net.lInterferers(v);
+    const auto inter = net.interferers(SlotFamily::kL, v);
     if (inter.size() != 1) continue;
     const TimeSlot slot = net.lSlot(inter.front());
     for (NodeId x : net.backboneNodes()) {

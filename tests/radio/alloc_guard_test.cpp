@@ -10,19 +10,25 @@
 // arrays swarm (DESIGN.md §14): its wake calendar, action table and
 // resolve outcome reach a high-water capacity and are then reused, so a 4x
 // longer run must cost exactly as many allocations as a short one — the
-// per-round marginal cost is zero. A plain executable (not gtest) so the
-// override sees only our own code paths.
+// per-round marginal cost is zero. A fourth pass checks every
+// receiver's b/l/u slot condition on a seeded 200-node cluster net: once
+// the calling thread's scratch is warm, ClusterNet::conditionHolds
+// allocates nothing. A plain executable (not gtest) so the override sees
+// only our own code paths.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
+#include "cluster/cnet.hpp"
 #include "graph/deploy.hpp"
 #include "graph/unit_disk.hpp"
 #include "obs/flight.hpp"
 #include "radio/channel.hpp"
 #include "radio/simulator.hpp"
+#include "tests/cluster/cluster_test_util.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -288,15 +294,53 @@ int run() {
     return 1;
   }
 
+  // Slot conditions: a warm-up sweep sizes the checking thread's buffer,
+  // then a second sweep over every receiver must not allocate.
+  const testutil::NetFixture cluster = testutil::randomNet(0xC1A55, 200);
+  const ClusterNet& net = *cluster.net;
+  std::vector<std::pair<SlotFamily, NodeId>> receivers;
+  for (NodeId v : net.netNodes()) {
+    if (v == net.root()) continue;
+    receivers.emplace_back(
+        net.isBackbone(v) ? SlotFamily::kB : SlotFamily::kL, v);
+    receivers.emplace_back(SlotFamily::kU, v);
+  }
+  auto conditionSweep = [&] {
+    std::size_t held = 0;
+    for (const auto& [family, v] : receivers)
+      if (net.conditionHolds(family, v)) ++held;
+    return held;
+  };
+  const std::size_t warmHeld = conditionSweep();
+  const std::size_t before = g_allocs;
+  g_armed = true;
+  const std::size_t armedHeld = conditionSweep();
+  g_armed = false;
+  if (g_allocs != before) {
+    std::fprintf(stderr,
+                 "FAIL: %zu heap allocations across %zu warm slot-condition "
+                 "checks (expected 0)\n",
+                 g_allocs - before, receivers.size());
+    return 1;
+  }
+  if (warmHeld != receivers.size() || armedHeld != warmHeld) {
+    std::fprintf(stderr,
+                 "FAIL: %zu then %zu of %zu slot conditions hold on a "
+                 "freshly built net (expected all)\n",
+                 warmHeld, armedHeld, receivers.size());
+    return 1;
+  }
+
   std::printf("ok: 1000 steady-state rounds, 0 allocations, %zu "
               "deliveries + %zu collision sites per round; recorded "
               "rerun stored %zu events (%llu dropped) with 0 "
               "allocations; swarm engine 100->400 rounds added 0 of %zu "
-              "setup allocations\n",
+              "setup allocations; %zu warm slot-condition checks, 0 "
+              "allocations\n",
               warm.deliveries.size(), warm.collisionSites.size(),
               recorder.storedEvents(),
               static_cast<unsigned long long>(recorder.droppedEvents()),
-              allocsShort);
+              allocsShort, receivers.size());
   return 0;
 }
 
