@@ -33,35 +33,6 @@ void ClusterNet::requireInNet(NodeId v, const char* what) const {
               std::string(what) + ": node is not in the cluster net");
 }
 
-const NodeKnowledge& ClusterNet::knowledge(NodeId v) const {
-  requireInNet(v, "knowledge");
-  return know_[v];
-}
-
-bool ClusterNet::contains(NodeId v) const {
-  return v < know_.size() && know_[v].inNet;
-}
-
-NodeStatus ClusterNet::status(NodeId v) const {
-  requireInNet(v, "status");
-  return know_[v].status;
-}
-
-NodeId ClusterNet::parent(NodeId v) const {
-  requireInNet(v, "parent");
-  return know_[v].parent;
-}
-
-const std::vector<NodeId>& ClusterNet::children(NodeId v) const {
-  requireInNet(v, "children");
-  return know_[v].children;
-}
-
-Depth ClusterNet::depth(NodeId v) const {
-  requireInNet(v, "depth");
-  return know_[v].depth;
-}
-
 int ClusterNet::height() const {
   DSN_REQUIRE(root_ != kInvalidNode, "height: empty cluster net");
   return static_cast<int>(depthCount_.size()) - 1;

@@ -126,7 +126,9 @@ class ClusterNet {
 
   // ---- Structure queries ----
 
-  bool contains(NodeId v) const;
+  bool contains(NodeId v) const {
+    return v < know_.size() && know_[v].inNet;
+  }
   std::size_t netSize() const { return netSize_; }
   /// Number of in-net heads + gateways, maintained incrementally —
   /// unlike backboneNodes().size() this is O(1), so per-move-in
@@ -134,10 +136,12 @@ class ClusterNet {
   std::size_t backboneCount() const { return backboneCount_; }
   NodeId root() const { return root_; }
 
-  NodeStatus status(NodeId v) const;
-  NodeId parent(NodeId v) const;
-  const std::vector<NodeId>& children(NodeId v) const;
-  Depth depth(NodeId v) const;
+  NodeStatus status(NodeId v) const { return record(v, "status").status; }
+  NodeId parent(NodeId v) const { return record(v, "parent").parent; }
+  const std::vector<NodeId>& children(NodeId v) const {
+    return record(v, "children").children;
+  }
+  Depth depth(NodeId v) const { return record(v, "depth").depth; }
   /// Height of CNet(G): the deepest depth any net node sits at.
   int height() const;
 
@@ -202,6 +206,15 @@ class ClusterNet {
   /// warm it allocates nothing, and several threads may check one net
   /// that no thread mutates.
   bool conditionHolds(SlotFamily f, NodeId v) const;
+  /// Both downward conditions of non-root receiver `v`, from one walk
+  /// over its neighbors: `own` is its status family's (l for a pure
+  /// member, else b) and `u` is Algorithm 1's. Equal to conditionHolds
+  /// of each family, with the same per-thread scratch contract.
+  struct ReceiverConditions {
+    bool own = false;
+    bool u = false;
+  };
+  ReceiverConditions receiverConditions(NodeId v) const;
   /// Convergecast condition at node v (non-root): v's up-slot differs
   /// from the up-slot of every other same-depth node sharing a
   /// previous-depth neighbor with v (so every potential listener hears
@@ -227,7 +240,9 @@ class ClusterNet {
   const ClusterNetConfig& config() const { return config_; }
 
   /// Raw knowledge record (read-only; used by validators and protocols).
-  const NodeKnowledge& knowledge(NodeId v) const;
+  const NodeKnowledge& knowledge(NodeId v) const {
+    return record(v, "knowledge");
+  }
 
  private:
   Graph& graph_;
@@ -262,6 +277,12 @@ class ClusterNet {
   void ensureKnowledgeSize();
   NodeKnowledge& mutableKnowledge(NodeId v);
   void requireInNet(NodeId v, const char* what) const;
+  /// v's record for the inline readers; the not-in-net throw stays out
+  /// of line, in requireInNet.
+  const NodeKnowledge& record(NodeId v, const char* what) const {
+    if (!contains(v)) requireInNet(v, what);
+    return know_[v];
+  }
   NodeId selectCandidate(const std::vector<NodeId>& candidates);
   /// Net neighbors of v in G (live + inNet).
   std::vector<NodeId> netNeighbors(NodeId v) const;
@@ -307,7 +328,6 @@ class ClusterNet {
   // -- multicast internals --
   void adjustRelayOnPath(NodeId from, GroupId g, int delta);
 
-  friend class ClusterNetValidator;
   friend class RecoveryManager;
 };
 

@@ -61,6 +61,29 @@ std::size_t singletonCount(std::span<TimeSlot> slots) {
   return unique;
 }
 
+/// True when some value occurs exactly once in `slots`. Interferer sets
+/// hold a handful of entries, so a pairwise scan beats sorting them;
+/// larger sets are sorted.
+bool hasSingleton(std::span<TimeSlot> slots) {
+  if (slots.size() > 16) return singletonCount(slots) > 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    bool unique = true;
+    for (std::size_t j = 0; j < slots.size() && unique; ++j)
+      unique = j == i || slots[j] != slots[i];
+    if (unique) return true;
+  }
+  return false;
+}
+
+/// The condition checks' interferer-slot buffers. Per thread, not
+/// members: validation reads one shared net from several threads at
+/// once.
+struct ConditionScratch {
+  std::vector<TimeSlot> own;
+  std::vector<TimeSlot> u;
+};
+thread_local ConditionScratch conditionScratch;
+
 /// Smallest positive integer not contained in `taken` (duplicates fine);
 /// sorts `taken`.
 TimeSlot minimumFreeSlot(std::vector<TimeSlot>& taken) {
@@ -129,12 +152,31 @@ std::vector<NodeId> ClusterNet::interferers(SlotFamily f, NodeId v) const {
 
 bool ClusterNet::conditionHolds(SlotFamily f, NodeId v) const {
   requireReceiver(f, v, "conditionHolds");
-  // Per thread, not a member: validation reads one shared net from
-  // several threads at once.
-  thread_local std::vector<TimeSlot> slots;
+  std::vector<TimeSlot>& slots = conditionScratch.own;
   slots.clear();
   appendInterfererSlots(f, v, kInvalidNode, slots);
-  return singletonCount(slots) > 0;
+  return hasSingleton(slots);
+}
+
+ClusterNet::ReceiverConditions ClusterNet::receiverConditions(
+    NodeId v) const {
+  const SlotFamily own =
+      record(v, "receiverConditions").status == NodeStatus::kPureMember
+          ? SlotFamily::kL
+          : SlotFamily::kB;
+  DSN_REQUIRE(receives(own, v) && receives(SlotFamily::kU, v),
+              "receiverConditions: the root receives in no downward family");
+  ConditionScratch& s = conditionScratch;
+  s.own.clear();
+  s.u.clear();
+  for (NodeId tx : adj(v)) {
+    if (transmitsTo(own, tx, v) && know_[tx].slot(own) != kNoSlot)
+      s.own.push_back(know_[tx].slot(own));
+    if (transmitsTo(SlotFamily::kU, tx, v) &&
+        know_[tx].slot(SlotFamily::kU) != kNoSlot)
+      s.u.push_back(know_[tx].slot(SlotFamily::kU));
+  }
+  return {hasSingleton(s.own), hasSingleton(s.u)};
 }
 
 // ---- Procedure 1 (paper Section 4) ----

@@ -55,7 +55,9 @@ struct ValidationReport {
 
 class ClusterNetValidator {
  public:
-  /// Checks, over the current structure:
+  /// Checks, over the current structure, in this order:
+  ///  * stale entries: every net node is alive in the graph; if one is
+  ///    not, each stale entry is reported and validation stops there;
   ///  * tree well-formedness: single root, symmetric parent/child links,
   ///    depth = parent depth + 1, all net nodes reachable, tree edges are
   ///    graph edges, height() = the deepest depth reachable from the root;
@@ -64,11 +66,20 @@ class ClusterNetValidator {
   ///    alternation head/gateway by even/odd depth;
   ///  * Property 1(2): no G-edge between two cluster heads; heads
   ///    dominate the net nodes;
-  ///  * Time-Slot Conditions (per the active SlotPolicy) for every
-  ///    backbone non-root (b) and every pure member (l);
-  ///  * Lemma 2(3)/Lemma 3 slot bounds: b <= d(d+1)/2+1, l <= D(D+1)/2+1;
-  ///  * root knowledge: rootMaxB/LSlot >= the true maxima;
+  ///  * Time-Slot Conditions (per the active SlotPolicy): b at every
+  ///    non-root backbone node, l at every pure member, u at every
+  ///    non-root node, and at every non-root node an up-slot that its
+  ///    parent hears (upConditionHolds);
+  ///  * slot bounds, where D is the peak degree (peakDegree(), and never
+  ///    less than the largest degree of a net node today): b-, l- and
+  ///    u-slots <= D(D+1)/2+1 (Lemma 2(3)/Lemma 3), up-slots <= D^2+1,
+  ///    and pure members carry no b-, l- or u-slot;
+  ///  * root knowledge: rootMaxSlot() of each of the four families is at
+  ///    least the true maximum;
   ///  * multicast relay counts == exact descendant-in-group counts.
+  /// The working storage is per thread: once a thread has validated a
+  /// net of this size, validating a sound net allocates nothing, and
+  /// several threads may validate one net that no thread mutates.
   static ValidationReport validate(const ClusterNet& net);
 };
 

@@ -13,7 +13,9 @@
 // per-round marginal cost is zero. A fourth pass checks every
 // receiver's b/l/u slot condition on a seeded 200-node cluster net: once
 // the calling thread's scratch is warm, ClusterNet::conditionHolds
-// allocates nothing. A plain executable (not gtest) so the override sees
+// allocates nothing. A fifth pass validates that net whole: after one
+// warm-up call, ClusterNetValidator::validate reports ok without a
+// single allocation. A plain executable (not gtest) so the override sees
 // only our own code paths.
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "cluster/cnet.hpp"
+#include "cluster/validate.hpp"
 #include "graph/deploy.hpp"
 #include "graph/unit_disk.hpp"
 #include "obs/flight.hpp"
@@ -331,16 +334,36 @@ int run() {
     return 1;
   }
 
+  // Whole validation: the warm-up call sizes the thread's validation
+  // scratch, then validating the same sound net must not allocate.
+  const bool warmValid = ClusterNetValidator::validate(net).ok();
+  const std::size_t beforeValidate = g_allocs;
+  g_armed = true;
+  const bool armedValid = ClusterNetValidator::validate(net).ok();
+  g_armed = false;
+  if (g_allocs != beforeValidate) {
+    std::fprintf(stderr,
+                 "FAIL: %zu heap allocations in one warm validation of a "
+                 "%zu-node net (expected 0)\n",
+                 g_allocs - beforeValidate, net.netSize());
+    return 1;
+  }
+  if (!warmValid || !armedValid) {
+    std::fprintf(stderr, "FAIL: a freshly built net does not validate\n");
+    return 1;
+  }
+
   std::printf("ok: 1000 steady-state rounds, 0 allocations, %zu "
               "deliveries + %zu collision sites per round; recorded "
               "rerun stored %zu events (%llu dropped) with 0 "
               "allocations; swarm engine 100->400 rounds added 0 of %zu "
               "setup allocations; %zu warm slot-condition checks, 0 "
+              "allocations; warm validation of %zu nodes, 0 "
               "allocations\n",
               warm.deliveries.size(), warm.collisionSites.size(),
               recorder.storedEvents(),
               static_cast<unsigned long long>(recorder.droppedEvents()),
-              allocsShort, receivers.size());
+              allocsShort, receivers.size(), net.netSize());
   return 0;
 }
 
