@@ -180,44 +180,33 @@ SlottedWave admitIcffWave(const ClusterNet& net, NodeId source,
   const Round backboneStart = path.hops();
 
   const Graph& g = net.graph();
-  // Stale (crashed, unrepaired) backbone nodes count towards H too.
-  int backboneHeight = 0;
-  for (NodeId v = 0; v < g.size(); ++v) {
-    if (!net.contains(v)) continue;
-    const NodeKnowledge& k = net.knowledge(v);
-    if (isBackboneStatus(k.status))
-      backboneHeight = std::max(backboneHeight, static_cast<int>(k.depth));
-  }
-
   const TimeSlot bWindow = net.rootMaxBSlot();
   const TimeSlot lWindow = net.rootMaxLSlot();
-  const TdmMap bTdm(bWindow == 0 ? 1 : bWindow, channels);
-  const TdmMap lTdm(lWindow == 0 ? 1 : lWindow, channels);
-
-  SlottedWave wave;
-  wave.schedule = backboneStart +
-                  static_cast<Round>(backboneHeight + 1) * bTdm.windowLength() +
-                  lTdm.windowLength();
-
   IcffSwarmConfig sc;
   sc.bWindow = bWindow;
   sc.lWindow = lWindow;
   sc.channels = channels;
   sc.backboneStart = backboneStart;
-  sc.backboneHeight = backboneHeight;
   sc.group = group.value_or(kNoGroup);
   sc.payload = payload;
   auto swarm = std::make_unique<IcffSwarm>(sc, g.size());
 
-  // One pass over the net's records, in node order, fills the swarm.
+  // One pass over the net's records, in node order, fills the swarm and
+  // finds the backbone height H.
+  SlottedWave wave;
   wave.members.reserve(net.netSize());
   wave.intended.reserve(net.netSize());
+  int backboneHeight = 0;
   for (NodeId v = 0; v < g.size(); ++v) {
-    // A stale structure (crashes not yet repaired) may reference dead
-    // nodes; they neither act nor count as intended receivers.
-    if (!net.contains(v) || !g.isAlive(v)) continue;
+    if (!net.contains(v)) continue;
     const NodeKnowledge& k = net.knowledge(v);
     const bool backbone = isBackboneStatus(k.status);
+    // Stale (crashed, unrepaired) backbone nodes count towards H too.
+    if (backbone)
+      backboneHeight = std::max(backboneHeight, static_cast<int>(k.depth));
+    // A stale structure (crashes not yet repaired) may reference dead
+    // nodes; they neither act nor count as intended receivers.
+    if (!g.isAlive(v)) continue;
     bool wantsPayload = true;
     bool relays = backbone;
     if (group.has_value()) {
@@ -234,7 +223,14 @@ SlottedWave admitIcffWave(const ClusterNet& net, NodeId source,
                      path.nextAfter(pathIndex), v == source, relays,
                      wantsPayload);
   }
+  swarm->setBackboneHeight(backboneHeight);
   wave.swarm = std::move(swarm);
+
+  const TdmMap bTdm(bWindow == 0 ? 1 : bWindow, channels);
+  const TdmMap lTdm(lWindow == 0 ? 1 : lWindow, channels);
+  wave.schedule = backboneStart +
+                  static_cast<Round>(backboneHeight + 1) * bTdm.windowLength() +
+                  lTdm.windowLength();
   return wave;
 }
 

@@ -62,6 +62,9 @@ class IcffSwarm final : public SlottedSwarm {
   void addMember(NodeId v, Depth depth, bool backbone, TimeSlot bSlot,
                  TimeSlot lSlot, int pathIndex, NodeId pathNext,
                  bool isSource, bool relays, bool wantsPayload);
+  /// Sets the backbone height H. Only the running schedule reads it, so
+  /// the admission hands it over after the pass that adds the members.
+  void setBackboneHeight(int height) { cfg_.backboneHeight = height; }
 
   Action onRound(NodeId v, Round r) override;
   bool isDone(NodeId v) const override;
