@@ -228,9 +228,10 @@ SlottedWave admitIcffWave(const ClusterNet& net, NodeId source,
 
   const TdmMap bTdm(bWindow == 0 ? 1 : bWindow, channels);
   const TdmMap lTdm(lWindow == 0 ? 1 : lWindow, channels);
-  wave.schedule = backboneStart +
-                  static_cast<Round>(backboneHeight + 1) * bTdm.windowLength() +
-                  lTdm.windowLength();
+  wave.schedule =
+      backboneStart +
+      static_cast<Round>(backboneHeight + 1) * bTdm.windowLength() +
+      lTdm.windowLength();
   return wave;
 }
 

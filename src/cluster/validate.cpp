@@ -65,33 +65,15 @@ class Checker {
     if (nodes_.empty()) {
       if (net_.root() != kInvalidNode)
         fail("empty-net") << "empty net but root is set to " << net_.root();
-      flush();
-      return std::move(report_);
-    }
-    // A stale structure — crash-dead nodes still referenced (DESIGN.md
-    // §10) — is reported entry by entry and stops here: every downstream
-    // check reads the graph view of each net node and assumes it is
-    // live. The per-entry issues let recovery tooling (and the fuzz
-    // harness) see exactly which ids went stale instead of one opaque
-    // first-failure string.
-    bool stale = false;
-    for (NodeId v : nodes_) {
-      if (!g_.isAlive(v)) {
-        stale = true;
-        fail("stale-entry", v)
-            << "net entry " << v
-            << " is dead in the graph (crash not yet repaired)";
-      }
+    } else if (!checkStaleEntries()) {
+      checkTree();
+      checkStatuses();
+      checkProperty1();
+      checkSlots();
+      checkRootKnowledge();
+      checkRelayCounts();
     }
     flush();
-    if (stale) return std::move(report_);
-    for (void (Checker::*check)() :
-         {&Checker::checkTree, &Checker::checkStatuses,
-          &Checker::checkProperty1, &Checker::checkSlots,
-          &Checker::checkRootKnowledge, &Checker::checkRelayCounts}) {
-      (this->*check)();
-      flush();
-    }
     return std::move(report_);
   }
 
@@ -106,8 +88,8 @@ class Checker {
 
   // fail() starts a new issue of class `cls` at `node`; the text
   // streamed into the returned stream is committed by the next fail()
-  // or flush(). The stream is built on the first failure, so a sound net
-  // never constructs one.
+  // or the final flush(). The stream is built on the first failure, so
+  // a sound net never constructs one.
   std::ostringstream& fail(std::string cls, NodeId node = kInvalidNode) {
     flush();
     active_ = true;
@@ -131,6 +113,25 @@ class Checker {
           ValidationIssue{pendingCls_, pendingNode_, pending_->str()});
       active_ = false;
     }
+  }
+
+  // A stale structure — crash-dead nodes still referenced (DESIGN.md
+  // §10) — is reported entry by entry and stops validation: every
+  // later check reads the graph view of each net node and assumes it is
+  // live. The per-entry issues let recovery tooling (and the fuzz
+  // harness) see exactly which ids went stale instead of one opaque
+  // first-failure string. Returns true when some entry is stale.
+  bool checkStaleEntries() {
+    bool stale = false;
+    for (NodeId v : nodes_) {
+      if (!g_.isAlive(v)) {
+        stale = true;
+        fail("stale-entry", v)
+            << "net entry " << v
+            << " is dead in the graph (crash not yet repaired)";
+      }
+    }
+    return stale;
   }
 
   void checkTree() {
