@@ -175,6 +175,45 @@ TEST(TimeSlotTest, ConditionQueriesValidateStatus) {
   EXPECT_THROW(net.conditionHolds(SlotFamily::kUp, 1), PreconditionError);
 }
 
+TEST(TimeSlotTest, ReceiverConditionsMatchPerFamilyChecks) {
+  // The validator's one walk per receiver must agree with the
+  // per-family checks under both slot policies, whether adj() reads the
+  // per-node vectors or a fresh CSR snapshot. Extra radio edges jam some
+  // receivers, so both outcomes occur.
+  std::size_t failing = 0;
+  for (const SlotPolicy policy :
+       {SlotPolicy::kStrict, SlotPolicy::kPaperLocal}) {
+    ClusterNetConfig cfg;
+    cfg.slotPolicy = policy;
+    auto f = randomNet(91, 150, 10, 50.0, cfg);
+    Rng rng(91);
+    for (int i = 0; i < 30; ++i) {
+      const auto a = static_cast<NodeId>(rng.uniform(150));
+      const auto b = static_cast<NodeId>(rng.uniform(150));
+      if (a != b) f.graph->addEdge(a, b);
+    }
+    const ClusterNet& net = *f.net;
+    for (const bool csr : {false, true}) {
+      if (csr) f.graph->csrView();
+      for (NodeId v : net.netNodes()) {
+        if (v == net.root()) {
+          EXPECT_THROW(net.receiverConditions(v), PreconditionError);
+          continue;
+        }
+        const SlotFamily own =
+            net.isBackbone(v) ? SlotFamily::kB : SlotFamily::kL;
+        const ClusterNet::ReceiverConditions holds =
+            net.receiverConditions(v);
+        EXPECT_EQ(holds.own, net.conditionHolds(own, v)) << "node " << v;
+        EXPECT_EQ(holds.u, net.conditionHolds(SlotFamily::kU, v))
+            << "node " << v;
+        if (!holds.own || !holds.u) ++failing;
+      }
+    }
+  }
+  EXPECT_GT(failing, 0u);
+}
+
 TEST(TimeSlotTest, SharedNetChecksMatchSerialAcrossThreads) {
   // Read-only serve jobs validate one shared warm net from several
   // workers at once, so the condition checks must keep their scratch per
