@@ -39,7 +39,7 @@ void IcffSwarm::addMember(NodeId v, Depth depth, bool backbone,
 
 Round IcffSwarm::leafWindowStart() const {
   return cfg_.backboneStart +
-         static_cast<Round>(cfg_.backboneHeight + 1) * bTdm_.windowLength();
+         static_cast<Round>(backboneHeight_ + 1) * bTdm_.windowLength();
 }
 
 Round IcffSwarm::bListenStart(NodeId v) const {
@@ -110,7 +110,7 @@ Action IcffSwarm::onRound(NodeId v, Round r) {
       m.slot = bSlot_[v];
       m.windowSize = cfg_.bWindow;
       m.depth = depth_[v];
-      m.height = cfg_.backboneHeight;
+      m.height = backboneHeight_;
       m.group = cfg_.group;
       m.payload = payload_[v];
       return Action::transmit(m, bTdm_.channelOf(bSlot_[v]));

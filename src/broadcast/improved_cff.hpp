@@ -40,8 +40,6 @@ struct IcffSwarmConfig {
   Channel channels = 1;
   /// Step-1 start (= depth of the source).
   Round backboneStart = 0;
-  /// Backbone height H: step 2 starts at backboneStart + (H+1)·win(δ).
-  int backboneHeight = 0;
   GroupId group = kNoGroup;
   std::uint64_t payload = 0;
 };
@@ -62,9 +60,10 @@ class IcffSwarm final : public SlottedSwarm {
   void addMember(NodeId v, Depth depth, bool backbone, TimeSlot bSlot,
                  TimeSlot lSlot, int pathIndex, NodeId pathNext,
                  bool isSource, bool relays, bool wantsPayload);
-  /// Sets the backbone height H. Only the running schedule reads it, so
-  /// the admission hands it over after the pass that adds the members.
-  void setBackboneHeight(int height) { cfg_.backboneHeight = height; }
+  /// Sets the backbone height H: step 2 starts at
+  /// backboneStart + (H+1)·win(δ). Only the running schedule reads it,
+  /// so the admission hands it over after the pass that adds the members.
+  void setBackboneHeight(int height) { backboneHeight_ = height; }
 
   Action onRound(NodeId v, Round r) override;
   bool isDone(NodeId v) const override;
@@ -85,6 +84,7 @@ class IcffSwarm final : public SlottedSwarm {
   Round lTransmitRound(NodeId v) const;
 
   IcffSwarmConfig cfg_;
+  int backboneHeight_ = 0;
   TdmMap bTdm_;
   TdmMap lTdm_;
   // Hot per-node schedule state, indexed by node id.
