@@ -300,6 +300,10 @@ class ClusterNet {
   bool transmitsTo(SlotFamily f, NodeId tx, NodeId v) const;
   /// Throws unless `v` is an in-net receiver of family f (b, l or u).
   void requireReceiver(SlotFamily f, NodeId v, const char* what) const;
+  /// Appends tx's f-slot when tx is one of v's f-interferers and holds
+  /// an f-slot.
+  void appendInterfererSlot(SlotFamily f, NodeId tx, NodeId v,
+                            std::vector<TimeSlot>& out) const;
   /// Appends the assigned f-slots of v's interferers, except `except`'s.
   void appendInterfererSlots(SlotFamily f, NodeId v, NodeId except,
                              std::vector<TimeSlot>& out) const;

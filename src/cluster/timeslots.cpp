@@ -62,17 +62,11 @@ std::size_t singletonCount(std::span<TimeSlot> slots) {
 }
 
 /// True when some value occurs exactly once in `slots`. Interferer sets
-/// hold a handful of entries, so a pairwise scan beats sorting them;
-/// larger sets are sorted.
-bool hasSingleton(std::span<TimeSlot> slots) {
-  if (slots.size() > 16) return singletonCount(slots) > 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    bool unique = true;
-    for (std::size_t j = 0; j < slots.size() && unique; ++j)
-      unique = j == i || slots[j] != slots[i];
-    if (unique) return true;
-  }
-  return false;
+/// hold a handful of entries, so a pairwise scan needs no sort.
+bool hasSingleton(std::span<const TimeSlot> slots) {
+  return std::any_of(slots.begin(), slots.end(), [&](TimeSlot s) {
+    return std::count(slots.begin(), slots.end(), s) == 1;
+  });
 }
 
 /// The condition checks' interferer-slot buffers. Per thread, not
@@ -133,13 +127,17 @@ void ClusterNet::requireReceiver(SlotFamily f, NodeId v,
                   "backbone, l: pure member, u: non-root)");
 }
 
+void ClusterNet::appendInterfererSlot(SlotFamily f, NodeId tx, NodeId v,
+                                      std::vector<TimeSlot>& out) const {
+  if (!transmitsTo(f, tx, v)) return;
+  const TimeSlot s = know_[tx].slot(f);
+  if (s != kNoSlot) out.push_back(s);
+}
+
 void ClusterNet::appendInterfererSlots(SlotFamily f, NodeId v, NodeId except,
                                        std::vector<TimeSlot>& out) const {
-  for (NodeId u : adj(v)) {
-    if (u == except || !transmitsTo(f, u, v)) continue;
-    const TimeSlot s = know_[u].slot(f);
-    if (s != kNoSlot) out.push_back(s);
-  }
+  for (NodeId u : adj(v))
+    if (u != except) appendInterfererSlot(f, u, v, out);
 }
 
 std::vector<NodeId> ClusterNet::interferers(SlotFamily f, NodeId v) const {
@@ -170,11 +168,8 @@ ClusterNet::ReceiverConditions ClusterNet::receiverConditions(
   s.own.clear();
   s.u.clear();
   for (NodeId tx : adj(v)) {
-    if (transmitsTo(own, tx, v) && know_[tx].slot(own) != kNoSlot)
-      s.own.push_back(know_[tx].slot(own));
-    if (transmitsTo(SlotFamily::kU, tx, v) &&
-        know_[tx].slot(SlotFamily::kU) != kNoSlot)
-      s.u.push_back(know_[tx].slot(SlotFamily::kU));
+    appendInterfererSlot(own, tx, v, s.own);
+    appendInterfererSlot(SlotFamily::kU, tx, v, s.u);
   }
   return {hasSingleton(s.own), hasSingleton(s.u)};
 }
