@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <optional>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -49,8 +49,6 @@ struct Scratch {
   std::vector<NodeId> order;
   /// The tree BFS's marks, indexed by node id.
   std::vector<std::uint8_t> seen;
-  /// (ancestor, group), once per ancestor of every group membership.
-  std::vector<std::pair<NodeId, GroupId>> relays;
 };
 
 class Checker {
@@ -88,29 +86,24 @@ class Checker {
 
   // fail() starts a new issue of class `cls` at `node`; the text
   // streamed into the returned stream is committed by the next fail()
-  // or the final flush(). The stream is built on the first failure, so
-  // a sound net never constructs one.
+  // or the final flush().
   std::ostringstream& fail(std::string cls, NodeId node = kInvalidNode) {
     flush();
     active_ = true;
     pendingCls_ = std::move(cls);
     pendingNode_ = node;
-    if (pending_) {
-      pending_->str("");
-      pending_->clear();
-    } else {
-      pending_.emplace();
-    }
-    return *pending_;
+    pending_.str("");
+    pending_.clear();
+    return pending_;
   }
-  std::optional<std::ostringstream> pending_;
+  std::ostringstream pending_;
   std::string pendingCls_;
   NodeId pendingNode_ = kInvalidNode;
   bool active_ = false;
   void flush() {
     if (active_) {
       report_.violations.push_back(
-          ValidationIssue{pendingCls_, pendingNode_, pending_->str()});
+          ValidationIssue{pendingCls_, pendingNode_, pending_.str()});
       active_ = false;
     }
   }
@@ -343,35 +336,24 @@ class Checker {
   }
 
   void checkRelayCounts() {
-    // Brute-force recount: one parent walk per group membership leaves
-    // an (ancestor, group) pair at every hop. Sorted, each node's run of
-    // pairs counts its descendants per group in group order, which is
-    // the order its relayCount map keeps.
-    std::vector<std::pair<NodeId, GroupId>>& relays = s_.relays;
-    relays.clear();
+    // Brute-force recount: descendants' group memberships per node.
+    std::map<NodeId, std::map<GroupId, int>> expected;
     for (NodeId v : nodes_) {
-      const NodeKnowledge& k = net_.knowledge(v);
-      for (GroupId g : k.groups)
-        for (NodeId a = k.parent; a != kInvalidNode; a = net_.parent(a))
-          relays.emplace_back(a, g);
-    }
-    std::sort(relays.begin(), relays.end());
-    // Every ancestor is a net node (net_.parent() checked it), so the
-    // runs appear in the order of nodes_.
-    std::size_t i = 0;
-    for (NodeId v : nodes_) {
-      const auto& have = net_.knowledge(v).relayCount;
-      auto it = have.begin();
-      bool match = true;
-      while (i < relays.size() && relays[i].first == v) {
-        const GroupId g = relays[i].second;
-        const std::size_t from = i;
-        while (i < relays.size() && relays[i] == std::pair{v, g}) ++i;
-        match = match && it != have.end() && it->first == g &&
-                it->second == static_cast<int>(i - from);
-        if (it != have.end()) ++it;
+      for (GroupId g : net_.groupsOf(v)) {
+        NodeId a = net_.parent(v);
+        while (a != kInvalidNode) {
+          ++expected[a][g];
+          a = net_.parent(a);
+        }
       }
-      if (!match || it != have.end())
+    }
+    for (NodeId v : nodes_) {
+      const auto& flat = net_.knowledge(v).relayCount;
+      const std::map<GroupId, int> have(flat.begin(), flat.end());
+      const auto it = expected.find(v);
+      const std::map<GroupId, int> empty;
+      const auto& want = it == expected.end() ? empty : it->second;
+      if (have != want)
         fail("relay-count", v)
             << "relay counts at node " << v
             << " do not match descendant memberships";

@@ -78,8 +78,9 @@ class ClusterNetValidator {
   ///    least the true maximum;
   ///  * multicast relay counts == exact descendant-in-group counts.
   /// The working storage is per thread: once a thread has validated a
-  /// net of this size, validating a sound net allocates nothing, and
-  /// several threads may validate one net that no thread mutates.
+  /// net of this size, validating a sound net with no multicast groups
+  /// allocates nothing, and several threads may validate one net that no
+  /// thread mutates.
   static ValidationReport validate(const ClusterNet& net);
 };
 
