@@ -40,8 +40,8 @@ namespace {
 
 /// One validation's working storage. It lives per thread, not in the
 /// net: several threads may validate one shared net at once (serve
-/// leases do), and once a thread's buffers are warm a sound net
-/// validates without touching the heap.
+/// leases do), and once a thread's buffers are warm a sound net without
+/// groups validates without touching the heap.
 struct Scratch {
   /// The net nodes in id order.
   std::vector<NodeId> nodes;
