@@ -7,7 +7,6 @@
 // ~n transmissions — CFF needs only the backbone's ~2·|BT| frames and a
 // few TDM windows.
 #include "bench/bench_common.hpp"
-#include "broadcast/flooding_baseline.hpp"
 #include "broadcast/runner.hpp"
 
 int main(int argc, char** argv) {
@@ -23,12 +22,12 @@ int main(int argc, char** argv) {
     const auto table = exec::runTrials(
         cfg, n,
         [window](SensorNetwork& net, Rng& rng, MetricTable& t) {
-          FloodingConfig fc;
-          fc.contentionWindow = window;
-          fc.seed = rng.next();
+          ProtocolOptions flood;
+          flood.arena.contentionWindow = window;
+          flood.arena.seed = rng.next();
           const NodeId source = net.randomNode(rng);
-          const auto storm =
-              runFloodingBroadcast(net.graph(), source, 1, fc);
+          const auto storm = runRivalBroadcast(BroadcastScheme::kFlooding,
+                                               net.graph(), source, 1, flood);
           t.add("storm_cov", storm.coverage());
           t.add("storm_tx", static_cast<double>(storm.transmissions));
           t.add("storm_done",

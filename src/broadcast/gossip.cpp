@@ -1,9 +1,33 @@
-#include "broadcast/gossip.hpp"
+// Structure-free probabilistic flooding — the "broadcast storm"
+// baseline — and the probabilistic gossip rivals (Mehta & Kwak;
+// Haas/Halpern/Li gossip).
+//
+// The paper's introduction motivates structured broadcast against naive
+// flooding ([16] Ni et al., "The broadcast storm problem"): every node
+// that hears the message retransmits it once, after a random backoff
+// within a contention window. No clustering, no TDM, no collision
+// avoidance — just the flat graph and luck. This baseline makes the
+// paper's comparison concrete: at small windows the storm collides
+// itself to death; at large windows it is slow; CFF gets both speed and
+// determinism from the structure.
+//
+// Two gossip variants tame the storm with the same state machine:
+//   - fixed p:            every served node relays once with probability p;
+//   - density-adaptive:   p_v = min(1, fanout / deg(v)), so each relay
+//                         expects to hand the payload to ~`fanout` new
+//                         neighbors regardless of local density.
+//
+// All three keep flooding's contention backoff (uniform delay in
+// [1, window]) and its exact nextWake schedule: a served node sleeps out
+// its backoff and wakes only for the relay round, so the protocol runs
+// unmodified on the active-set scheduler. The relay coin is flipped ONCE,
+// at first receipt, from a per-node RNG seeded `seed ^ f(self)` — which
+// is what makes a gossip run a pure function of (graph, source, seed).
+// Blind flooding is gossip with probability 1 and its own seed salt.
 
 #include <algorithm>
 #include <memory>
 
-#include "broadcast/flooding_baseline.hpp"
 #include "broadcast/runner_detail.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -33,7 +57,6 @@ class RelaySwarm final : public detail::FlatSwarm {
         seed_(seed),
         salt_(salt),
         relayRound_(g.size(), -1) {
-    DSN_REQUIRE(window >= 1, "contention window must be >= 1");
     addHolder(source, true, payload);
     relayRound_[source] = 0;  // the source always transmits, at round 0
   }
@@ -93,40 +116,28 @@ class RelaySwarm final : public detail::FlatSwarm {
 
 }  // namespace
 
-BroadcastRun runFloodingBroadcast(const Graph& g, NodeId source,
-                                  std::uint64_t payload,
-                                  const FloodingConfig& config,
-                                  const ProtocolOptions& options) {
-  DSN_REQUIRE(g.isAlive(source), "flood source must be live");
-  const Round budget =
-      detail::flatListenBudget(g, config.contentionWindow, options);
-  return detail::runFlatRival(
-      g, source, budget,
-      std::make_unique<RelaySwarm>(g, source, payload, budget,
-                                   config.contentionWindow,
-                                   config.gossipProbability, 0.0,
-                                   config.seed, 0x9E37ull),
-      options);
+namespace detail {
+
+std::unique_ptr<FlatSwarm> makeRelaySwarm(BroadcastScheme scheme,
+                                          const Graph& g, NodeId source,
+                                          std::uint64_t payload,
+                                          Round maxListen,
+                                          const ProtocolOptions& options) {
+  const ArenaTuning& a = options.arena;
+  if (scheme == BroadcastScheme::kFlooding)
+    return std::make_unique<RelaySwarm>(g, source, payload, maxListen,
+                                        a.contentionWindow, 1.0, 0.0, a.seed,
+                                        0x9E37ull);
+  DSN_REQUIRE(a.gossipProbability >= 0.0 && a.gossipProbability <= 1.0,
+              "gossip probability must be in [0,1]");
+  const bool adaptive = scheme == BroadcastScheme::kGossipAdaptive;
+  DSN_REQUIRE(!adaptive || a.adaptiveFanout > 0.0,
+              "adaptive gossip fanout must be positive");
+  return std::make_unique<RelaySwarm>(
+      g, source, payload, maxListen, a.contentionWindow, a.gossipProbability,
+      adaptive ? a.adaptiveFanout : 0.0, a.seed, 0xA24BAED4963EE407ull);
 }
 
-BroadcastRun runGossipBroadcast(const Graph& g, NodeId source,
-                                std::uint64_t payload,
-                                const GossipConfig& config,
-                                const ProtocolOptions& options) {
-  DSN_REQUIRE(g.isAlive(source), "gossip source must be live");
-  DSN_REQUIRE(config.probability >= 0.0 && config.probability <= 1.0,
-              "gossip probability must be in [0,1]");
-  DSN_REQUIRE(!config.adaptive || config.fanout > 0.0,
-              "adaptive gossip fanout must be positive");
-  const Round budget =
-      detail::flatListenBudget(g, config.contentionWindow, options);
-  return detail::runFlatRival(
-      g, source, budget,
-      std::make_unique<RelaySwarm>(
-          g, source, payload, budget, config.contentionWindow,
-          config.probability, config.adaptive ? config.fanout : 0.0,
-          config.seed, 0xA24BAED4963EE407ull),
-      options);
-}
+}  // namespace detail
 
 }  // namespace dsn

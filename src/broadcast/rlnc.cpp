@@ -1,4 +1,21 @@
-#include "broadcast/rlnc.hpp"
+// Random linear network coding broadcast over GF(2^8) (Haas & Nikolov,
+// "Towards Optimal Broadcast in Wireless Networks").
+//
+// The source expands the 64-bit payload into a generation of
+// `kRlncGeneration` source symbols (s_0 = payload, s_i = splitmix(payload
+// ^ i), so a decode is self-verifying) and injects `rlncSourceBudget`
+// random coded packets. Every relay that holds at least one innovative
+// packet re-codes: it transmits `rlncRelayBudget` fresh random
+// combinations of its own basis rows, spread over contention backoffs. A
+// node is served once its decoder reaches full rank and the recovered
+// generation passes the s_i = splitmix(s_0 ^ i) consistency check.
+//
+// Wire format: the 4 coding coefficients (over the source basis) ride in
+// Message::sequence, one byte per source symbol; the coded 64-bit symbol
+// rides in Message::payload. All coefficient and backoff draws come from
+// per-node RNGs seeded off the shared scheme seed, so a run is a pure
+// function of (graph, source, seed) — the seed-determinism oracle the
+// fuzz battery checks.
 
 #include <algorithm>
 #include <array>
@@ -13,6 +30,19 @@
 namespace dsn {
 
 namespace {
+
+/// Generation size: 4 coefficient bytes must fit Message::sequence.
+constexpr int kRlncGeneration = 4;
+
+/// Derives source symbol i from the payload (splitmix64 finalizer); the
+/// redundancy makes every decode internally verifiable.
+constexpr std::uint64_t rlncSourceSymbol(std::uint64_t payload, int i) {
+  if (i == 0) return payload;
+  std::uint64_t z = payload ^ static_cast<std::uint64_t>(i);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 std::uint32_t packCoef(const gf256::CoefRow& coef) {
   std::uint32_t packed = 0;
@@ -32,8 +62,8 @@ gf256::CoefRow unpackCoef(std::uint32_t packed) {
 
 /// RLNC's swarm. Each node holds a GF(2^8) decoder and an RNG seeded
 /// `seed ^ (v * salt)`; the source starts with the whole generation and
-/// `sourceBudget` transmissions due from round 0, and a relay gets
-/// `relayBudget` of them with its first innovative row. Every
+/// `rlncSourceBudget` transmissions due from round 0, and a relay gets
+/// `rlncRelayBudget` of them with its first innovative row. Every
 /// transmission is a fresh random combination of the node's basis rows,
 /// the next one after a uniform backoff in [1, window]. A node settles
 /// once its decoder reaches full rank: served when the recovered
@@ -41,16 +71,17 @@ gf256::CoefRow unpackCoef(std::uint32_t packed) {
 class RlncSwarm final : public detail::FlatSwarm {
  public:
   RlncSwarm(std::size_t nodeCount, NodeId source, std::uint64_t payload,
-            Round maxListen, const RlncConfig& cfg)
+            Round maxListen, const ArenaTuning& arena)
       : FlatSwarm(nodeCount, maxListen),
-        cfg_(cfg),
+        window_(arena.contentionWindow),
+        relayBudget_(arena.rlncRelayBudget),
         sourcePayload_(payload),
         decoder_(nodeCount, gf256::Decoder(kRlncGeneration)),
         txRound_(nodeCount, -1),
         txRemaining_(nodeCount, 0) {
     rng_.reserve(nodeCount);
     for (std::uint64_t v = 0; v < nodeCount; ++v)
-      rng_.emplace_back(cfg.seed ^ (v * 0xD6E8FEB86659FD93ull));
+      rng_.emplace_back(arena.seed ^ (v * 0xD6E8FEB86659FD93ull));
     // The source holds the generation in the clear: identity rows.
     for (int i = 0; i < kRlncGeneration; ++i) {
       gf256::CoefRow e{};
@@ -58,7 +89,7 @@ class RlncSwarm final : public detail::FlatSwarm {
       decoder_[source].insert(e, rlncSourceSymbol(payload, i));
     }
     addHolder(source, true, payload);
-    txRemaining_[source] = cfg.sourceBudget;
+    txRemaining_[source] = arena.rlncSourceBudget;
     txRound_[source] = 0;  // first coded packet goes out immediately
   }
 
@@ -73,10 +104,10 @@ class RlncSwarm final : public detail::FlatSwarm {
     if (settled(v)) return;
     gf256::Decoder& dec = decoder_[v];
     if (!dec.insert(unpackCoef(m.sequence), m.payload)) return;
-    if (txRound_[v] < 0 && txRemaining_[v] == 0 && cfg_.relayBudget > 0 &&
+    if (txRound_[v] < 0 && txRemaining_[v] == 0 && relayBudget_ > 0 &&
         dec.rank() == 1) {
       // First innovative row: start this relay's recoding schedule.
-      txRemaining_[v] = cfg_.relayBudget;
+      txRemaining_[v] = relayBudget_;
       txRound_[v] = r + 1 + backoff(v);
     }
     tryDecode(v, r);
@@ -110,7 +141,7 @@ class RlncSwarm final : public detail::FlatSwarm {
 
   Round backoff(NodeId v) {
     return static_cast<Round>(
-        rng_[v].uniform(static_cast<std::uint64_t>(cfg_.contentionWindow)));
+        rng_[v].uniform(static_cast<std::uint64_t>(window_)));
   }
 
   Action transmitCoded(NodeId v, Round r) {
@@ -171,7 +202,8 @@ class RlncSwarm final : public detail::FlatSwarm {
     if (symbols[0] != sourcePayload_) ++decodeFailures_;
   }
 
-  RlncConfig cfg_;
+  int window_;
+  int relayBudget_;
   std::uint64_t sourcePayload_;
   std::vector<gf256::Decoder> decoder_;
   std::vector<Rng> rng_;
@@ -182,21 +214,19 @@ class RlncSwarm final : public detail::FlatSwarm {
 
 }  // namespace
 
-BroadcastRun runRlncBroadcast(const Graph& g, NodeId source,
-                              std::uint64_t payload,
-                              const RlncConfig& config,
-                              const ProtocolOptions& options) {
-  DSN_REQUIRE(g.isAlive(source), "RLNC source must be live");
-  DSN_REQUIRE(config.contentionWindow >= 1,
-              "contention window must be >= 1");
-  DSN_REQUIRE(config.sourceBudget >= 1, "RLNC source budget must be >= 1");
-  DSN_REQUIRE(config.relayBudget >= 0, "RLNC relay budget must be >= 0");
-  const Round budget =
-      detail::flatListenBudget(g, config.contentionWindow, options);
-  return detail::runFlatRival(
-      g, source, budget,
-      std::make_unique<RlncSwarm>(g.size(), source, payload, budget, config),
-      options);
+namespace detail {
+
+std::unique_ptr<FlatSwarm> makeRlncSwarm(const Graph& g, NodeId source,
+                                         std::uint64_t payload,
+                                         Round maxListen,
+                                         const ProtocolOptions& options) {
+  const ArenaTuning& a = options.arena;
+  DSN_REQUIRE(a.rlncSourceBudget >= 1, "RLNC source budget must be >= 1");
+  DSN_REQUIRE(a.rlncRelayBudget >= 0, "RLNC relay budget must be >= 0");
+  return std::make_unique<RlncSwarm>(g.size(), source, payload, maxListen,
+                                     a);
 }
+
+}  // namespace detail
 
 }  // namespace dsn

@@ -6,11 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "broadcast/flooding_baseline.hpp"
-#include "broadcast/gossip.hpp"
-#include "broadcast/rlnc.hpp"
 #include "broadcast/runner_detail.hpp"
-#include "broadcast/suppression.hpp"
 #include "graph/algorithms.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -93,107 +89,6 @@ void flushBroadcastMetrics(BroadcastScheme scheme,
   }
 }
 
-constexpr obs::FrRunKind runKind(BroadcastScheme s) {
-  switch (s) {
-    case BroadcastScheme::kDfo:
-      return obs::FrRunKind::kDfo;
-    case BroadcastScheme::kCff:
-      return obs::FrRunKind::kCff;
-    case BroadcastScheme::kImprovedCff:
-      return obs::FrRunKind::kIcff;
-    case BroadcastScheme::kFlooding:
-      return obs::FrRunKind::kFlooding;
-    case BroadcastScheme::kGossip:
-      return obs::FrRunKind::kGossip;
-    case BroadcastScheme::kGossipAdaptive:
-      return obs::FrRunKind::kGossipAdaptive;
-    case BroadcastScheme::kCounter:
-      return obs::FrRunKind::kCounter;
-    case BroadcastScheme::kDistance:
-      return obs::FrRunKind::kDistance;
-    case BroadcastScheme::kRlnc:
-      return obs::FrRunKind::kRlnc;
-  }
-  return obs::FrRunKind::kDfo;
-}
-
-constexpr std::string_view phaseName(BroadcastScheme s) {
-  switch (s) {
-    case BroadcastScheme::kDfo:
-      return "broadcast.DFO";
-    case BroadcastScheme::kCff:
-      return "broadcast.CFF";
-    case BroadcastScheme::kImprovedCff:
-      return "broadcast.ICFF";
-    case BroadcastScheme::kFlooding:
-      return "broadcast.FLOOD";
-    case BroadcastScheme::kGossip:
-      return "broadcast.GOSSIP";
-    case BroadcastScheme::kGossipAdaptive:
-      return "broadcast.AGOSSIP";
-    case BroadcastScheme::kCounter:
-      return "broadcast.COUNTER";
-    case BroadcastScheme::kDistance:
-      return "broadcast.DISTANCE";
-    case BroadcastScheme::kRlnc:
-      return "broadcast.RLNC";
-  }
-  return "broadcast.?";
-}
-
-/// Dispatches a flat-graph rival with configs derived from
-/// `options.arena`.
-BroadcastRun runRival(BroadcastScheme scheme, const Graph& g, NodeId source,
-                      std::uint64_t payload,
-                      const ProtocolOptions& options) {
-  const ArenaTuning& a = options.arena;
-  switch (scheme) {
-    case BroadcastScheme::kFlooding: {
-      FloodingConfig fc;
-      fc.gossipProbability = 1.0;
-      fc.contentionWindow = a.contentionWindow;
-      fc.seed = a.seed;
-      return runFloodingBroadcast(g, source, payload, fc, options);
-    }
-    case BroadcastScheme::kGossip:
-    case BroadcastScheme::kGossipAdaptive: {
-      GossipConfig gc;
-      gc.probability = a.gossipProbability;
-      gc.adaptive = scheme == BroadcastScheme::kGossipAdaptive;
-      gc.fanout = a.adaptiveFanout;
-      gc.contentionWindow = a.contentionWindow;
-      gc.seed = a.seed;
-      return runGossipBroadcast(g, source, payload, gc, options);
-    }
-    case BroadcastScheme::kCounter: {
-      CounterConfig cc;
-      cc.counterThreshold = a.counterThreshold;
-      cc.contentionWindow = a.contentionWindow;
-      cc.seed = a.seed;
-      return runCounterBroadcast(g, source, payload, cc, options);
-    }
-    case BroadcastScheme::kDistance: {
-      DistanceConfig dc;
-      dc.suppressRadius = a.suppressRadius;
-      dc.contentionWindow = a.contentionWindow;
-      dc.seed = a.seed;
-      return runDistanceBroadcast(g, source, payload, dc, options);
-    }
-    case BroadcastScheme::kRlnc: {
-      RlncConfig rc;
-      rc.contentionWindow = a.contentionWindow;
-      rc.sourceBudget = a.rlncSourceBudget;
-      rc.relayBudget = a.rlncRelayBudget;
-      rc.seed = a.seed;
-      return runRlncBroadcast(g, source, payload, rc, options);
-    }
-    default:
-      DSN_CHECK(false, "runRival called with a cluster scheme");
-  }
-  BroadcastRun empty;
-  return empty;
-}
-
 }  // namespace
 
 namespace detail {
@@ -216,42 +111,70 @@ BroadcastRun runPayloadSwarm(const Graph& g, const SimConfig& config,
   return run;
 }
 
-Round flatListenBudget(const Graph& g, int contentionWindow,
-                       const ProtocolOptions& options) {
-  if (options.maxRounds > 0) return options.maxRounds;
-  return static_cast<Round>(g.liveCount()) * (contentionWindow + 1) + 16;
-}
-
-BroadcastRun runFlatRival(const Graph& g, NodeId source, Round maxListen,
-                          std::unique_ptr<FlatSwarm> swarm,
-                          const ProtocolOptions& options) {
-  const auto intended = reachableFrom(g, source);
-  return runPayloadSwarm(g, simConfig(1, maxListen + 4, options),
-                         std::move(swarm), intended, intended, maxListen,
-                         options);
-}
-
 }  // namespace detail
 
+std::string schemeWordList(std::string_view separator) {
+  std::string out;
+  for (const BroadcastScheme s : kAllBroadcastSchemes) {
+    if (!out.empty()) out += separator;
+    out += schemeWord(s);
+  }
+  return out;
+}
+
 bool parseBroadcastScheme(std::string_view word, BroadcastScheme& out) {
-  if (word == "dfo") out = BroadcastScheme::kDfo;
-  else if (word == "cff") out = BroadcastScheme::kCff;
-  else if (word == "icff") out = BroadcastScheme::kImprovedCff;
-  else if (word == "flood") out = BroadcastScheme::kFlooding;
-  else if (word == "gossip") out = BroadcastScheme::kGossip;
-  else if (word == "agossip") out = BroadcastScheme::kGossipAdaptive;
-  else if (word == "counter") out = BroadcastScheme::kCounter;
-  else if (word == "distance") out = BroadcastScheme::kDistance;
-  else if (word == "rlnc") out = BroadcastScheme::kRlnc;
-  else return false;
-  return true;
+  for (const BroadcastScheme s : kAllBroadcastSchemes) {
+    if (schemeWord(s) == word) {
+      out = s;
+      return true;
+    }
+  }
+  return false;
+}
+
+BroadcastRun runRivalBroadcast(BroadcastScheme scheme, const Graph& g,
+                               NodeId source, std::uint64_t payload,
+                               const ProtocolOptions& options) {
+  DSN_REQUIRE(isRandomizedScheme(scheme),
+              "runRivalBroadcast needs a flat rival scheme");
+  DSN_REQUIRE(g.isAlive(source), "rival source must be live");
+  const int window = options.arena.contentionWindow;
+  DSN_REQUIRE(window >= 1, "contention window must be >= 1");
+  // With no schedule to sleep on, an unserved node listens for
+  // options.maxRounds, or when that is 0, for one contention window
+  // plus one round per live node, + 16.
+  const Round maxListen =
+      options.maxRounds > 0
+          ? options.maxRounds
+          : static_cast<Round>(g.liveCount()) * (window + 1) + 16;
+  std::unique_ptr<detail::FlatSwarm> swarm;
+  switch (scheme) {
+    case BroadcastScheme::kCounter:
+    case BroadcastScheme::kDistance:
+      swarm = detail::makeSuppressionSwarm(scheme, g, source, payload,
+                                           maxListen, options);
+      break;
+    case BroadcastScheme::kRlnc:
+      swarm = detail::makeRlncSwarm(g, source, payload, maxListen, options);
+      break;
+    default:
+      swarm = detail::makeRelaySwarm(scheme, g, source, payload, maxListen,
+                                     options);
+      break;
+  }
+  // Every node reachable from the source is an intended receiver.
+  const auto intended = reachableFrom(g, source);
+  return detail::runPayloadSwarm(
+      g, detail::simConfig(1, maxListen + 4, options), std::move(swarm),
+      intended, intended, maxListen, options);
 }
 
 BroadcastRun runBroadcast(BroadcastScheme scheme, const ClusterNet& net,
                           NodeId source, std::uint64_t payload,
                           const ProtocolOptions& options) {
-  DSN_TIMED_PHASE(phaseName(scheme));
-  obs::recordRunBegin(runKind(scheme), source);
+  const BroadcastSchemeInfo& info = schemeInfo(scheme);
+  DSN_TIMED_PHASE(info.phase);
+  obs::recordRunBegin(info.runKind, source);
   BroadcastRun run;
   switch (scheme) {
     case BroadcastScheme::kDfo:
@@ -264,11 +187,10 @@ BroadcastRun runBroadcast(BroadcastScheme scheme, const ClusterNet& net,
       run = runImprovedCffBroadcast(net, source, payload, options);
       break;
     default:
-      DSN_CHECK(isRandomizedScheme(scheme), "unknown broadcast scheme");
-      run = runRival(scheme, net.graph(), source, payload, options);
+      run = runRivalBroadcast(scheme, net.graph(), source, payload, options);
       break;
   }
-  obs::recordRunEnd(runKind(scheme),
+  obs::recordRunEnd(info.runKind,
                     static_cast<std::uint32_t>(run.delivered),
                     static_cast<std::uint32_t>(run.sim.rounds));
   flushBroadcastMetrics(scheme, run);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "broadcast/run_result.hpp"
+#include "broadcast/runner.hpp"
 #include "radio/simulator.hpp"
 #include "util/types.hpp"
 
@@ -71,16 +72,24 @@ class FlatSwarm : public PayloadSwarm {
   Round maxListen_;
 };
 
-/// The listen budget of every flat rival: options.maxRounds, or when
-/// that is 0, one contention window plus one round per live node, + 16.
-Round flatListenBudget(const Graph& g, int contentionWindow,
-                       const ProtocolOptions& options);
-
-/// The run body of every flat rival: runs `swarm` on one channel over
-/// the nodes reachable from `source`, all of them intended receivers,
-/// with a round budget of maxListen + 4.
-BroadcastRun runFlatRival(const Graph& g, NodeId source, Round maxListen,
-                          std::unique_ptr<FlatSwarm> swarm,
-                          const ProtocolOptions& options);
+/// The flat rivals' swarms. Each reads its knobs from `options.arena`,
+/// checks them, and gives an unserved node the listen budget
+/// `maxListen`. runRivalBroadcast, which has checked the live source and
+/// the contention window, runs them.
+/// Flooding, gossip and adaptive gossip (gossip.cpp).
+std::unique_ptr<FlatSwarm> makeRelaySwarm(BroadcastScheme scheme,
+                                          const Graph& g, NodeId source,
+                                          std::uint64_t payload,
+                                          Round maxListen,
+                                          const ProtocolOptions& options);
+/// Counter- and distance-based suppression (suppression.cpp).
+std::unique_ptr<FlatSwarm> makeSuppressionSwarm(
+    BroadcastScheme scheme, const Graph& g, NodeId source,
+    std::uint64_t payload, Round maxListen, const ProtocolOptions& options);
+/// Random linear network coding (rlnc.cpp).
+std::unique_ptr<FlatSwarm> makeRlncSwarm(const Graph& g, NodeId source,
+                                         std::uint64_t payload,
+                                         Round maxListen,
+                                         const ProtocolOptions& options);
 
 }  // namespace dsn::detail

@@ -1,4 +1,24 @@
-#include "broadcast/suppression.hpp"
+// Counter- and distance-based suppression flooding (Ni et al., "The
+// broadcast storm problem"; Mehta & Kwak's survey in PAPERS.md).
+//
+// Both rivals schedule a relay after a random backoff like flooding, but
+// instead of sleeping the backoff out they LISTEN through it and use the
+// duplicates they overhear to cancel redundant relays:
+//   - counter-based:  count copies heard before the relay slot; if the
+//     count reaches `counterThreshold`, the neighborhood is already
+//     covered and the relay is suppressed;
+//   - distance-based: a copy heard from a transmitter closer than
+//     `suppressRadius` means the own retransmission would add too little
+//     extra coverage area, so the relay is cancelled. It needs
+//     `ProtocolOptions::nodePositions` for every node.
+//
+// The listen-through-backoff is the honest energy cost of suppression
+// schemes and is exactly the nextWake contract: pending deciders wake
+// every round (they may receive), everyone else follows flooding's
+// schedule. Backoff draws come from a per-node RNG seeded off the
+// shared scheme seed, so runs are pure functions of (graph, source,
+// positions, seed) and scheduler-independent. Both rivals run one state
+// machine that differs only in its suppression test.
 
 #include <memory>
 #include <vector>
@@ -105,47 +125,29 @@ class SuppressionSwarm final : public detail::FlatSwarm {
 
 }  // namespace
 
-BroadcastRun runCounterBroadcast(const Graph& g, NodeId source,
-                                 std::uint64_t payload,
-                                 const CounterConfig& config,
-                                 const ProtocolOptions& options) {
-  DSN_REQUIRE(g.isAlive(source), "counter-broadcast source must be live");
-  DSN_REQUIRE(config.contentionWindow >= 1,
-              "contention window must be >= 1");
-  DSN_REQUIRE(config.counterThreshold >= 1,
-              "counter threshold must be >= 1");
-  const Round budget =
-      detail::flatListenBudget(g, config.contentionWindow, options);
-  return detail::runFlatRival(
-      g, source, budget,
-      std::make_unique<SuppressionSwarm>(
-          g.size(), source, payload, budget, config.contentionWindow,
-          config.counterThreshold, nullptr, 0.0, config.seed,
-          0x9FB21C651E98DF25ull),
-      options);
-}
+namespace detail {
 
-BroadcastRun runDistanceBroadcast(const Graph& g, NodeId source,
-                                  std::uint64_t payload,
-                                  const DistanceConfig& config,
-                                  const ProtocolOptions& options) {
-  DSN_REQUIRE(g.isAlive(source), "distance-broadcast source must be live");
+std::unique_ptr<FlatSwarm> makeSuppressionSwarm(
+    BroadcastScheme scheme, const Graph& g, NodeId source,
+    std::uint64_t payload, Round maxListen, const ProtocolOptions& options) {
+  const ArenaTuning& a = options.arena;
+  if (scheme == BroadcastScheme::kCounter) {
+    DSN_REQUIRE(a.counterThreshold >= 1, "counter threshold must be >= 1");
+    return std::make_unique<SuppressionSwarm>(
+        g.size(), source, payload, maxListen, a.contentionWindow,
+        a.counterThreshold, nullptr, 0.0, a.seed, 0x9FB21C651E98DF25ull);
+  }
   DSN_REQUIRE(options.nodePositions.size() >= g.size(),
               "distance-based suppression needs a position for every node "
               "(SensorNetwork::broadcast fills ProtocolOptions::"
               "nodePositions; direct graph callers must set it)");
-  DSN_REQUIRE(config.contentionWindow >= 1,
-              "contention window must be >= 1");
-  DSN_REQUIRE(config.suppressRadius >= 0.0, "suppress radius must be >= 0");
-  const Round budget =
-      detail::flatListenBudget(g, config.contentionWindow, options);
-  return detail::runFlatRival(
-      g, source, budget,
-      std::make_unique<SuppressionSwarm>(
-          g.size(), source, payload, budget, config.contentionWindow, 1,
-          &options.nodePositions, config.suppressRadius, config.seed,
-          0xE703C6EF372109E5ull),
-      options);
+  DSN_REQUIRE(a.suppressRadius >= 0.0, "suppress radius must be >= 0");
+  return std::make_unique<SuppressionSwarm>(
+      g.size(), source, payload, maxListen, a.contentionWindow, 1,
+      &options.nodePositions, a.suppressRadius, a.seed,
+      0xE703C6EF372109E5ull);
 }
+
+}  // namespace detail
 
 }  // namespace dsn

@@ -31,6 +31,15 @@ std::vector<Point2D> makePoints(const NetworkConfig& cfg) {
 
 }  // namespace
 
+std::string deploymentWordList(std::string_view separator) {
+  std::string out;
+  for (const std::string_view word : kDeploymentWords) {
+    if (!out.empty()) out += separator;
+    out += word;
+  }
+  return out;
+}
+
 SensorNetwork::SensorNetwork(const NetworkConfig& config)
     : points_(makePoints(config)),
       range_(config.range),

@@ -14,8 +14,11 @@
 // radio edges automatically.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "broadcast/reliable.hpp"
@@ -38,6 +41,31 @@ enum class DeploymentKind : std::uint8_t {
   kLine,
   kStar,
 };
+
+/// Each deployment's word in job lines, CLI flags and serve records,
+/// indexed by DeploymentKind. Adding a deployment adds a word here.
+inline constexpr std::array<std::string_view, 5> kDeploymentWords = {
+    "attach", "uniform", "grid", "line", "star"};
+
+constexpr std::string_view deploymentWord(DeploymentKind k) {
+  return kDeploymentWords[static_cast<std::size_t>(k)];
+}
+
+/// Parses a deployment word; false when `word` names none.
+constexpr bool parseDeploymentWord(std::string_view word,
+                                   DeploymentKind& out) {
+  for (std::size_t i = 0; i < kDeploymentWords.size(); ++i) {
+    if (kDeploymentWords[i] == word) {
+      out = static_cast<DeploymentKind>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Every deployment word, joined by `separator` (for usage and error
+/// messages).
+std::string deploymentWordList(std::string_view separator);
 
 struct NetworkConfig {
   Field field = Field::squareUnits(10);  ///< paper: 10x10 units of 100 m

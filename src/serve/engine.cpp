@@ -71,32 +71,6 @@ void appendQuoted(std::string& out, std::string_view s) {
   out += '"';
 }
 
-const char* deployWord(DeploymentKind k) {
-  switch (k) {
-    case DeploymentKind::kIncrementalAttach: return "attach";
-    case DeploymentKind::kUniform: return "uniform";
-    case DeploymentKind::kGrid: return "grid";
-    case DeploymentKind::kLine: return "line";
-    case DeploymentKind::kStar: return "star";
-  }
-  return "attach";
-}
-
-const char* schemeWord(BroadcastScheme s) {
-  switch (s) {
-    case BroadcastScheme::kDfo: return "dfo";
-    case BroadcastScheme::kCff: return "cff";
-    case BroadcastScheme::kImprovedCff: return "icff";
-    case BroadcastScheme::kFlooding: return "flood";
-    case BroadcastScheme::kGossip: return "gossip";
-    case BroadcastScheme::kGossipAdaptive: return "agossip";
-    case BroadcastScheme::kCounter: return "counter";
-    case BroadcastScheme::kDistance: return "distance";
-    case BroadcastScheme::kRlnc: return "rlnc";
-  }
-  return "icff";
-}
-
 void appendErrorRecord(std::string& out, const ServeJob& job,
                        std::string_view error) {
   out += "{\"schema\":\"dsnet-error-v1\",\"tool\":\"wsn_serve\",\"job\":";
@@ -118,7 +92,7 @@ void appendConfig(std::string& out, const ServeJob& job) {
   out += ",\"range\":";
   appendDouble(out, job.range);
   out += ",\"deploy\":\"";
-  out += deployWord(job.deploy);
+  out += deploymentWord(job.deploy);
   out += "\",\"drop\":";
   appendDouble(out, job.drop);
   out += ",\"channels\":";

@@ -13,45 +13,7 @@ namespace {
 
 using obs::JsonValue;
 
-const char* deployWord(DeploymentKind k) {
-  switch (k) {
-    case DeploymentKind::kIncrementalAttach: return "attach";
-    case DeploymentKind::kUniform: return "uniform";
-    case DeploymentKind::kGrid: return "grid";
-    case DeploymentKind::kLine: return "line";
-    case DeploymentKind::kStar: return "star";
-  }
-  return "attach";
-}
-
-bool parseDeployWord(const std::string& word, DeploymentKind& out) {
-  if (word == "attach") out = DeploymentKind::kIncrementalAttach;
-  else if (word == "uniform") out = DeploymentKind::kUniform;
-  else if (word == "grid") out = DeploymentKind::kGrid;
-  else if (word == "line") out = DeploymentKind::kLine;
-  else if (word == "star") out = DeploymentKind::kStar;
-  else return false;
-  return true;
-}
-
-/// Lowercase scheme word accepted by parseBroadcastScheme (the scenario
-/// grammar's spelling, unlike toString's table-header spelling).
-const char* schemeWord(BroadcastScheme s) {
-  switch (s) {
-    case BroadcastScheme::kDfo: return "dfo";
-    case BroadcastScheme::kCff: return "cff";
-    case BroadcastScheme::kImprovedCff: return "icff";
-    case BroadcastScheme::kFlooding: return "flood";
-    case BroadcastScheme::kGossip: return "gossip";
-    case BroadcastScheme::kGossipAdaptive: return "agossip";
-    case BroadcastScheme::kCounter: return "counter";
-    case BroadcastScheme::kDistance: return "distance";
-    case BroadcastScheme::kRlnc: return "rlnc";
-  }
-  return "icff";
-}
-
-[[noreturn]] void fieldFail(const std::string& key, const char* what) {
+[[noreturn]] void fieldFail(const std::string& key, const std::string& what) {
   throw std::runtime_error("field '" + key + "': " + what);
 }
 
@@ -157,9 +119,9 @@ ServeJob parseJobLine(const std::string& line, std::size_t index,
     if (job.fieldUnits <= 0) fieldFail("field_units", "must be positive");
     job.range = numberField(doc, "range", job.range);
     if (!(job.range > 0.0)) fieldFail("range", "must be positive");
-    const std::string deploy = stringField(doc, "deploy", "attach");
-    if (!parseDeployWord(deploy, job.deploy))
-      fieldFail("deploy", "want attach|uniform|grid|line|star");
+    if (doc.has("deploy") &&
+        !parseDeploymentWord(stringField(doc, "deploy", ""), job.deploy))
+      fieldFail("deploy", "want " + deploymentWordList("|"));
     const std::uint64_t channels = uintField(doc, "channels", 1);
     if (channels < 1 || channels > kMaxChannels)
       fieldFail("channels", "must be in [1, 256]");
@@ -171,9 +133,7 @@ ServeJob parseJobLine(const std::string& line, std::size_t index,
       BroadcastScheme scheme{};
       const std::string word = stringField(doc, "protocol", "");
       if (!parseBroadcastScheme(word, scheme))
-        fieldFail("protocol",
-                  "want dfo|cff|icff|flood|gossip|agossip|counter|"
-                  "distance|rlnc");
+        fieldFail("protocol", "want " + schemeWordList("|"));
       job.protocol = scheme;
     }
     job.traceCapacity = uintField(doc, "trace_cap", 0);
@@ -205,7 +165,7 @@ std::string formatJobLine(const ServeJob& job) {
   out += ",\"range\":";
   out += buf;
   out += ",\"deploy\":\"";
-  out += deployWord(job.deploy);
+  out += deploymentWord(job.deploy);
   out += "\",\"channels\":";
   out += std::to_string(job.channels);
   std::snprintf(buf, sizeof(buf), "%.17g", job.drop);

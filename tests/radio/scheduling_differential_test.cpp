@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "broadcast/convergecast.hpp"
-#include "broadcast/flooding_baseline.hpp"
 #include "broadcast/reliable.hpp"
 #include "broadcast/runner.hpp"
 #include "core/sensor_network.hpp"
@@ -192,15 +191,15 @@ TEST(SchedulingDifferentialTest, LongLineWakesBeyondHorizonWithDrops) {
 
 TEST(SchedulingDifferentialTest, FloodingBaselineWithDrops) {
   const SensorNetwork net(paperNetwork(120, 0xD1FF05));
-  FloodingConfig fc;
   ProtocolOptions opts;
   opts.dropProbability = 0.1;
   opts.traceCapacity = 1 << 16;
-  const auto active = runFloodingBroadcast(
-      net.graph(), net.clusterNet().root(), 17, fc,
+  opts.arena.seed = 0xF100D;
+  const auto active = runRivalBroadcast(
+      BroadcastScheme::kFlooding, net.graph(), net.clusterNet().root(), 17,
       withScheduling(opts, SimScheduling::kActiveSet));
-  const auto full = runFloodingBroadcast(
-      net.graph(), net.clusterNet().root(), 17, fc,
+  const auto full = runRivalBroadcast(
+      BroadcastScheme::kFlooding, net.graph(), net.clusterNet().root(), 17,
       withScheduling(opts, SimScheduling::kFullScan));
   expectSameRun(active, full);
 }

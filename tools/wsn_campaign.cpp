@@ -111,13 +111,8 @@ bool parseArgs(int argc, char** argv, CliOptions& opt) {
       else
         return false;
     } else if (arg == "--scheme") {
-      if (!(v = next())) return false;
-      const std::string s = v;
-      if (s == "cff")
-        opt.scheme = dsn::BroadcastScheme::kCff;
-      else if (s == "icff")
-        opt.scheme = dsn::BroadcastScheme::kImprovedCff;
-      else
+      if (!(v = next()) || !dsn::parseBroadcastScheme(v, opt.scheme) ||
+          !dsn::isSlottedScheme(opt.scheme))
         return false;
     } else if (arg == "--speed") {
       if (!(v = next())) return false;

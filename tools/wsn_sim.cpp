@@ -155,27 +155,17 @@ bool parseArgs(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--deploy") {
       const char* v = next();
       if (!v) return false;
-      const std::string kind = v;
-      if (kind == "attach")
-        opt.deploy = dsn::DeploymentKind::kIncrementalAttach;
-      else if (kind == "uniform")
-        opt.deploy = dsn::DeploymentKind::kUniform;
-      else if (kind == "grid")
-        opt.deploy = dsn::DeploymentKind::kGrid;
-      else if (kind == "line")
-        opt.deploy = dsn::DeploymentKind::kLine;
-      else if (kind == "star")
-        opt.deploy = dsn::DeploymentKind::kStar;
-      else {
-        std::cerr << "bad --deploy (want attach|uniform|grid|line|star)\n";
+      if (!dsn::parseDeploymentWord(v, opt.deploy)) {
+        std::cerr << "bad --deploy (want " << dsn::deploymentWordList("|")
+                  << ")\n";
         return false;
       }
     } else if (arg == "--protocol") {
       const char* v = next();
       dsn::BroadcastScheme scheme{};
       if (!v || !dsn::parseBroadcastScheme(v, scheme)) {
-        std::cerr << "bad --protocol (want dfo|cff|icff|flood|gossip|"
-                     "agossip|counter|distance|rlnc)\n";
+        std::cerr << "bad --protocol (want " << dsn::schemeWordList("|")
+                  << ")\n";
         return false;
       }
       opt.protocol = scheme;
