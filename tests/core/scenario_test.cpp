@@ -304,6 +304,61 @@ TEST(ScenarioParserTest, MobilityEventErrorsRejected) {
   EXPECT_THROW(parseScenario("churn 2 3 4\n"), PreconditionError);
 }
 
+TEST(ScenarioParserTest, NonFiniteAndOutOfRangeNumbersRejected) {
+  // Each line once converted a number it should have refused: to the
+  // kNoGroup or kInvalidNode sentinel, by truncating a fraction, by
+  // casting a value its integer type cannot hold, or by letting a NaN or
+  // an infinity through. Each must fail at parse time, naming its line.
+  const char* const kBad[] = {
+      "group 3 -1",
+      "group 3 2.7",
+      "group 3 4294967295",
+      "broadcast 4294967295 icff",
+      "join nan nan",
+      "move 3 inf 0",
+      "leave 1e300",
+      "crash 3 1e300",
+      "rbroadcast 0 icff 3000000000",
+      "waypoint 3000000000 5",
+      "faults jam 10 10 50 1e300",
+      "faults jam 10 10 50 2.5",
+      "faults jam 10 10 50 2 1e300",
+      "faults jam 10 10 50 2 3.5",
+      "faults burst nan 0.5 0.5",
+      "faults drop nan",
+      "churn nan",
+      "churn inf 1",
+      "churn 1e20",
+      "churn 2 3000000000",
+  };
+  for (const char* line : kBad) {
+    try {
+      parseScenario(std::string("validate\n") + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("scenario line 2: "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest value of each range still parses.
+  const auto events = parseScenario(
+      "group 3 4294967294\n"
+      "broadcast 4294967294 icff\n"
+      "rbroadcast 0 icff 2147483647\n"
+      "waypoint 2147483647 5\n"
+      "churn 2 2147483647\n"
+      "faults jam 10 10 50 2 3\n");
+  ASSERT_EQ(events.size(), 6u);
+  EXPECT_EQ(events[0].group, kNoGroup - 1);
+  EXPECT_EQ(events[1].node, kInvalidNode - 1);
+  EXPECT_EQ(events[2].repairBudget, 2147483647);
+  EXPECT_EQ(events[3].steps, 2147483647);
+  EXPECT_EQ(events[4].steps, 2147483647);
+  EXPECT_EQ(events[5].jam.fromRound, 2);
+  EXPECT_EQ(events[5].jam.toRound, 3);
+}
+
 TEST(ScenarioParserTest, MobilityEventsRoundTripThroughFormat) {
   const std::string script =
       "waypoint 5 25\n"

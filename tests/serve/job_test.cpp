@@ -122,6 +122,20 @@ TEST(ServeJob, MalformedLinesReportInsteadOfThrow) {
   EXPECT_EQ(widest.channels, kMaxChannels);
 }
 
+TEST(ServeJob, OutOfRangeScenarioNumberIsAParseError) {
+  // A scenario number the grammar refuses fails the job line, so the
+  // engine emits an error record instead of running it.
+  const ServeJob job = parseJobLine(
+      R"({"schema":"dsnet-job-v1","nodes":10,)"
+      R"("scenario":"validate\ngroup 3 -1"})",
+      0);
+  ASSERT_TRUE(job.failed());
+  EXPECT_NE(job.parseError.find("scenario line 2: invalid group id '-1'"),
+            std::string::npos)
+      << job.parseError;
+  EXPECT_TRUE(job.events.empty());
+}
+
 TEST(ServeJob, IdsMustStrictlyIncrease) {
   const std::uint64_t previous = 5;
   const ServeJob ok = parseJobLine(
