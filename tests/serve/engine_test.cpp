@@ -4,6 +4,7 @@
 // private-build rule.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -197,6 +198,90 @@ TEST_F(ServeEngineTest, TraceJobRecordsCarryTheEventArray) {
                                      : obs::JsonValue::Type::kNull);
     EXPECT_EQ(e.at("kind").type, obs::JsonValue::Type::kString);
   }
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Every byte of a fixed stream's records: run records with histograms,
+// a traced job, a protocol override and protocol null, a mutating job,
+// an invalid run with its first violation, both kinds of error record
+// and a scenario whose comment needs escaping, plus the job line each
+// parsed job formats to.
+TEST_F(ServeEngineTest, RecordBytesArePinned) {
+  const char* const kLines[] = {
+      R"({"schema":"dsnet-job-v1","id":1,"nodes":60,"seed":2007,)"
+      R"("scenario":"broadcast random icff\nvalidate"})",
+      R"({"schema":"dsnet-job-v1","id":2,"nodes":60,"seed":2007,)"
+      R"("drop":0.1,"trace_cap":4096,"scenario":"broadcast random flood"})",
+      R"({"schema":"dsnet-job-v1","id":3,"nodes":50,"seed":11,)"
+      R"("field_units":6,"range":40.5,"deploy":"grid","channels":3,)"
+      R"("protocol":"gossip","scenario":"broadcast random icff"})",
+      R"({"schema":"dsnet-job-v1","id":4,"nodes":60,"seed":5,)"
+      R"("auto_repair":true,)"
+      R"("scenario":"churn 1.5 2\nrepair\nvalidate\nbroadcast random cff"})",
+      R"({"schema":"dsnet-job-v1","id":5,"nodes":40,"seed":9,)"
+      R"("scenario":"crash 3\nvalidate"})",
+      "this line is not json",
+      R"({"schema":"dsnet-job-v1","id":7,"nodes":40,"drop":1.5,)"
+      R"("scenario":"validate"})",
+      R"({"schema":"dsnet-job-v1","id":8,"nodes":40,"seed":3,)"
+      R"("scenario":"# say \"hi\" \\ tab\there \u0001 end\nvalidate"})",
+      R"({"schema":"dsnet-job-v1","id":9,"nodes":60,"seed":4,)"
+      R"("scenario":"faults drop 0.1\nrbroadcast random icff 6\ngather"})",
+      R"({"schema":"dsnet-job-v1","id":10,"nodes":50,"seed":6,)"
+      R"("scenario":"broadcast random rlnc"})",
+      R"({"schema":"dsnet-job-v1","id":11,"nodes":40,"seed":8,)"
+      R"("protocol":"dfo","scenario":"broadcast 0 icff\ngather"})",
+      R"({"schema":"dsnet-job-v1","id":12,"nodes":30,"seed":2,)"
+      R"("scenario":"arena 0"})",
+  };
+  std::vector<ServeJob> jobs;
+  std::uint64_t lastId = 0;
+  for (const char* line : kLines) {
+    const std::size_t index = jobs.size();
+    jobs.push_back(parseJobLine(line, index, index > 0 ? &lastId : nullptr));
+    lastId = jobs.back().id;
+  }
+  const auto records = serveAll(jobs, 1, 8);
+  ASSERT_EQ(records.size(), jobs.size());
+
+  // The stream covers what the digest is meant to pin.
+  std::vector<obs::JsonValue> docs;
+  for (const auto& r : records) docs.push_back(obs::parseJson(r));
+  EXPECT_FALSE(docs[0].at("metrics").at("histograms").object.empty());
+  std::set<std::string> traced;
+  for (const auto& e : docs[1].at("trace").array)
+    traced.insert(e.at("type").str);
+  for (const char* type : {"receive", "transmit", "collision"})
+    EXPECT_TRUE(traced.count(type)) << type;
+  EXPECT_EQ(docs[2].at("config").at("protocol").str, "gossip");
+  EXPECT_EQ(docs[0].at("config").at("protocol").type,
+            obs::JsonValue::Type::kNull);
+  EXPECT_TRUE(docs[3].at("config").at("mutates").boolean);
+  EXPECT_FALSE(docs[4].at("outcome").at("valid").boolean);
+  EXPECT_FALSE(docs[4].at("outcome").at("first_violation").str.empty());
+  EXPECT_EQ(docs[5].at("schema").str, "dsnet-error-v1");
+  EXPECT_EQ(docs[6].at("schema").str, "dsnet-error-v1");
+  EXPECT_NE(docs[6].at("error").str.find("drop"), std::string::npos);
+  EXPECT_EQ(docs[7].at("config").at("scenario").str,
+            "# say \"hi\" \\ tab\there \x01 end\nvalidate");
+  EXPECT_EQ(docs[11].at("outcome").at("arenas").number, 1.0);
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    h = fnv1a(h, records[i]);
+    h = fnv1a(h, "\n");
+    if (jobs[i].failed()) continue;
+    h = fnv1a(h, formatJobLine(jobs[i]));
+    h = fnv1a(h, "\n");
+  }
+  EXPECT_EQ(h, 0xf26ddca4e480fc77ULL) << std::hex << h;
 }
 
 TEST_F(ServeEngineTest, RecordsOmitTimingUnlessRequested) {
