@@ -9,6 +9,7 @@
 #include "broadcast/convergecast.hpp"
 #include "core/mobility.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "util/error.hpp"
 
 namespace dsn {
@@ -723,6 +724,28 @@ ScenarioOutcome runScenario(SensorNetwork& net,
     }
   }
   return out;
+}
+
+void writeOutcomeJson(obs::JsonWriter& w, const ScenarioOutcome& outcome) {
+  const auto count = [](std::size_t n) {
+    return static_cast<std::uint64_t>(n);
+  };
+  w.beginObject();
+  w.kv("events", count(outcome.eventsExecuted));
+  w.kv("broadcasts", count(outcome.broadcasts));
+  w.kv("arenas", count(outcome.arenas));
+  w.kv("reliable_broadcasts", count(outcome.reliableBroadcasts));
+  w.kv("multicasts", count(outcome.multicasts));
+  w.kv("gathers", count(outcome.gathers));
+  w.kv("crashes", count(outcome.crashes));
+  w.kv("repairs", count(outcome.repairs));
+  w.kv("worst_coverage", outcome.worstCoverage);
+  w.kv("worst_yield", outcome.worstYield);
+  w.kv("valid", outcome.valid);
+  if (!outcome.valid) w.kv("first_violation", outcome.firstViolation);
+  w.kv("trace_events", count(outcome.traceEvents.size()));
+  w.kv("trace_dropped", count(outcome.traceDropped));
+  w.endObject();
 }
 
 }  // namespace dsn

@@ -47,6 +47,10 @@
 
 #include "core/sensor_network.hpp"
 
+namespace dsn::obs {
+class JsonWriter;
+}
+
 namespace dsn {
 
 struct ScenarioEvent {
@@ -141,6 +145,13 @@ struct ScenarioOutcome {
   /// Events lost to the per-run trace capacity caps.
   std::size_t traceDropped = 0;
 };
+
+/// Writes `outcome` as the JSON object value of a dsnet-run-v1 record's
+/// "outcome" (wsn_sim and wsn_serve): its counts, worst coverage and
+/// yield, validity, the first violation when invalid, and the trace
+/// event and drop counts. The log and the events themselves are left
+/// out.
+void writeOutcomeJson(obs::JsonWriter& w, const ScenarioOutcome& outcome);
 
 struct ScenarioOptions {
   /// Seed for `broadcast random` source draws.

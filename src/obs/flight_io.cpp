@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cstring>
 #include <istream>
 #include <iterator>
@@ -10,6 +9,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace dsn::obs {
 
@@ -151,44 +152,32 @@ bool inRadioSchema(FrType t) {
 /// radio/message.hpp's MsgKind.
 constexpr const char* kMsgKindNames[] = {"data", "token", "control", "nack"};
 
-void appendUint(std::string& out, std::uint64_t v) {
-  char buf[20];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
 }  // namespace
 
-void appendFrEventJson(std::string& out, const FrEvent& e) {
+void writeFrEventJson(JsonWriter& w, const FrEvent& e) {
   const FrType t = static_cast<FrType>(e.type);
-  out += "{\"type\":\"";
-  out += t == FrType::kDelivery ? "receive" : frTypeName(t);
-  out += "\",\"round\":";
-  appendUint(out, e.round);
-  out += ",\"node\":";
-  appendUint(out, e.node);
-  out += ",\"peer\":";
+  w.beginObject();
+  w.kv("type", t == FrType::kDelivery ? "receive" : frTypeName(t));
+  w.kv("round", e.round);
+  w.kv("node", e.node);
+  w.key("peer");
   if (t == FrType::kDelivery)
-    appendUint(out, e.data);
+    w.value(e.data);
   else
-    out += "null";
-  out += ",\"channel\":";
-  appendUint(out, e.channel);
+    w.null();
+  w.kv("channel", e.channel);
   if (!inRadioSchema(t)) {
-    out += ",\"kind\":null,\"data\":";
-    appendUint(out, e.data);
-    out += ",\"aux\":";
-    appendUint(out, e.aux);
-    out += '}';
-    return;
+    w.key("kind").null();
+    w.kv("data", e.data);
+    w.kv("aux", e.aux);
+  } else if (t == FrType::kCollision || t == FrType::kNodeDeath) {
+    // Collisions and deaths carry no frame; they report the default kind.
+    w.kv("kind", "data");
+  } else {
+    w.kv("kind",
+         e.aux < std::size(kMsgKindNames) ? kMsgKindNames[e.aux] : "?");
   }
-  out += ",\"kind\":\"";
-  // Collisions and deaths carry no frame; they report the default kind.
-  if (t == FrType::kCollision || t == FrType::kNodeDeath)
-    out += "data";
-  else
-    out += e.aux < std::size(kMsgKindNames) ? kMsgKindNames[e.aux] : "?";
-  out += "\"}";
+  w.endObject();
 }
 
 bool writeFrEventsJsonl(std::ostream& os,
@@ -196,7 +185,8 @@ bool writeFrEventsJsonl(std::ostream& os,
   std::string line;
   for (const FrEvent& e : events) {
     line.clear();
-    appendFrEventJson(line, e);
+    JsonWriter w(line);
+    writeFrEventJson(w, e);
     line += '\n';
     os << line;
   }
@@ -215,16 +205,40 @@ struct OpenRun {
   std::uint64_t absStart;  ///< cumulative round at kRunBegin
 };
 
-void writeArgsOpen(std::ostream& os) { os << ",\"args\":{"; }
+/// Opens one trace event with its common fields; the caller adds the
+/// rest and the "args" object, then closes it.
+void beginChromeEvent(JsonWriter& w, const char* phase, std::uint32_t tid,
+                      std::uint64_t ts) {
+  w.beginObject();
+  w.kv("ph", phase);
+  w.kv("pid", 0);
+  w.kv("tid", tid);
+  w.kv("ts", ts);
+}
 
 }  // namespace
 
 bool writeChromeTrace(std::ostream& os, const FrTraceFile& trace) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
-     << "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
-        "\"args\":{\"name\":\"dsnet\"}},\n"
-     << "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\","
-        "\"args\":{\"name\":\"rounds\"}}";
+  // Each event is flushed to `os` as soon as it is written, one per
+  // line, so the text never holds more than one event.
+  std::string text;
+  JsonWriter w(text);
+  const auto flush = [&] {
+    os << text << '\n';
+    text.clear();
+  };
+  w.beginObject();
+  w.kv("displayTimeUnit", "ms");
+  w.key("traceEvents").beginArray();
+  w.beginObject().kv("ph", "M").kv("pid", 0).kv("name", "process_name");
+  w.key("args").beginObject().kv("name", "dsnet").endObject();
+  w.endObject();
+  flush();
+  w.beginObject().kv("ph", "M").kv("pid", 0).kv("tid", 0);
+  w.kv("name", "thread_name");
+  w.key("args").beginObject().kv("name", "rounds").endObject();
+  w.endObject();
+  flush();
 
   std::uint64_t base = 0;      // cumulative round offset of the current run
   std::uint64_t frontier = 0;  // furthest cumulative round seen
@@ -232,14 +246,13 @@ bool writeChromeTrace(std::ostream& os, const FrTraceFile& trace) {
 
   auto emitInstant = [&](const FrEvent& e, std::uint64_t ts,
                          std::uint32_t tid) {
-    os << ",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" << tid
-       << ",\"ts\":" << ts << ",\"name\":\""
-       << frTypeName(static_cast<FrType>(e.type)) << "\"";
-    writeArgsOpen(os);
-    os << "\"round\":" << e.round << ",\"node\":" << e.node
-       << ",\"data\":" << e.data
-       << ",\"channel\":" << static_cast<unsigned>(e.channel)
-       << ",\"aux\":" << e.aux << "}}";
+    w.beginObject().kv("ph", "i").kv("s", "t").kv("pid", 0);
+    w.kv("tid", tid).kv("ts", ts);
+    w.kv("name", frTypeName(static_cast<FrType>(e.type)));
+    w.key("args").beginObject();
+    w.kv("round", e.round).kv("node", e.node).kv("data", e.data);
+    w.kv("channel", e.channel).kv("aux", e.aux);
+    w.endObject().endObject();
   };
 
   for (const FrEvent& e : trace.events) {
@@ -263,29 +276,30 @@ bool writeChromeTrace(std::ostream& os, const FrTraceFile& trace) {
           source = runStack.back().source;
           runStack.pop_back();
         }
-        os << ",\n{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":"
-           << start * kUsPerRound << ",\"dur\":"
-           << std::max<std::uint64_t>(end - start, 1) * kUsPerRound
-           << ",\"name\":\"" << frRunKindName(kind) << "\"";
-        writeArgsOpen(os);
-        os << "\"source\":" << source << ",\"delivered\":" << e.node
-           << ",\"rounds\":" << e.data << "}}";
+        beginChromeEvent(w, "X", 0, start * kUsPerRound);
+        w.kv("dur", std::max<std::uint64_t>(end - start, 1) * kUsPerRound);
+        w.kv("name", frRunKindName(kind));
+        w.key("args").beginObject();
+        w.kv("source", source).kv("delivered", e.node).kv("rounds", e.data);
+        w.endObject().endObject();
         base = end;
         frontier = std::max(frontier, end);
         break;
       }
       case FrType::kRoundBegin:
-        os << ",\n{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":" << ts
-           << ",\"dur\":" << kUsPerRound << ",\"name\":\"round\"";
-        writeArgsOpen(os);
-        os << "\"round\":" << e.round << ",\"active\":" << e.data << "}}";
+        beginChromeEvent(w, "X", 0, ts);
+        w.kv("dur", kUsPerRound).kv("name", "round");
+        w.key("args").beginObject();
+        w.kv("round", e.round).kv("active", e.data);
+        w.endObject().endObject();
         break;
       case FrType::kRoundEnd:
-        os << ",\n{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":" << ts
-           << ",\"name\":\"resolve\"";
-        writeArgsOpen(os);
-        os << "\"deliveries\":" << e.node << ",\"work\":" << e.data
-           << ",\"transmitters\":" << e.aux << "}}";
+        beginChromeEvent(w, "C", 0, ts);
+        w.kv("name", "resolve");
+        w.key("args").beginObject();
+        w.kv("deliveries", e.node).kv("work", e.data);
+        w.kv("transmitters", e.aux);
+        w.endObject().endObject();
         break;
       case FrType::kIdleSkip:
         emitInstant(e, ts, 0);
@@ -295,8 +309,10 @@ bool writeChromeTrace(std::ostream& os, const FrTraceFile& trace) {
         emitInstant(e, ts, e.node + 1);
         break;
     }
+    if (!text.empty()) flush();
   }
-  os << "\n]}\n";
+  w.endArray().endObject();
+  flush();
   return static_cast<bool>(os);
 }
 

@@ -28,6 +28,8 @@
 
 namespace dsn::obs {
 
+class JsonWriter;
+
 inline constexpr std::uint32_t kDsnTraceVersion = 1;
 
 /// Run-level metadata carried in the .dsntrace header.
@@ -57,8 +59,8 @@ bool writeDsnTrace(std::ostream& os, const FlightRecorder& recorder,
 /// unsupported version, or truncation.
 FrTraceFile readDsnTrace(std::istream& is);
 
-/// Appends one event to `out` as a single-line JSON object (no
-/// newline). The six radio types use the radio trace schema
+/// Writes one event as a JSON object value: the one FrEvent renderer.
+/// The six radio types use the radio trace schema
 ///   {"type":"transmit","round":3,"node":7,"peer":null,
 ///    "channel":0,"kind":"data"}
 /// where deliveries are named "receive" and carry the transmitter as
@@ -66,10 +68,9 @@ FrTraceFile readDsnTrace(std::istream& is);
 /// with a null kind and add the raw fields:
 ///   {"type":"round_end","round":3,"node":5,"peer":null,"channel":0,
 ///    "kind":null,"data":40,"aux":6}
-/// Allocation-free once `out` has the capacity.
-void appendFrEventJson(std::string& out, const FrEvent& e);
+void writeFrEventJson(JsonWriter& w, const FrEvent& e);
 
-/// Writes one appendFrEventJson object per line. Returns false when the
+/// Writes one writeFrEventJson object per line. Returns false when the
 /// stream errors.
 bool writeFrEventsJsonl(std::ostream& os, const std::vector<FrEvent>& events);
 

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -7,138 +8,118 @@
 
 namespace dsn::obs {
 
+void appendJsonEscaped(std::string& out, std::string_view s) {
+  // Plain runs are appended whole; only the characters RFC 8259 makes
+  // us escape are written one by one.
+  std::size_t plain = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+        out.append(escape, sizeof escape);
+      }
+    }
+  }
+  out.append(s.data() + plain, s.size() - plain);
+}
+
 std::string jsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  appendJsonEscaped(out, s);
   return out;
 }
 
 void JsonWriter::beforeValue() {
-  if (!stack_.empty() && stack_.back() == Scope::kObject) {
+  if (inScope(Scope::kObject)) {
     DSN_CHECK(keyPending_, "JsonWriter: object member needs a key first");
     keyPending_ = false;
     return;  // key() already placed the comma
   }
-  if (needComma_) os_ << ',';
+  if (needComma_) out_ += ',';
 }
 
 JsonWriter& JsonWriter::key(std::string_view name) {
-  DSN_CHECK(!stack_.empty() && stack_.back() == Scope::kObject,
-            "JsonWriter: key() outside an object");
+  DSN_CHECK(inScope(Scope::kObject), "JsonWriter: key() outside an object");
   DSN_CHECK(!keyPending_, "JsonWriter: consecutive keys");
-  if (needComma_) os_ << ',';
-  os_ << '"' << jsonEscape(name) << "\":";
+  if (needComma_) out_ += ',';
+  out_ += '"';
+  appendJsonEscaped(out_, name);
+  out_ += "\":";
   keyPending_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::beginObject() {
+JsonWriter& JsonWriter::open(Scope scope, char bracket) {
+  DSN_CHECK(depth_ < kMaxDepth, "JsonWriter: nesting deeper than kMaxDepth");
   beforeValue();
-  os_ << '{';
-  stack_.push_back(Scope::kObject);
+  out_ += bracket;
+  stack_[depth_++] = scope;
   needComma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  out_ += bracket;
+  --depth_;
+  needComma_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::endObject() {
-  DSN_CHECK(!stack_.empty() && stack_.back() == Scope::kObject,
+  DSN_CHECK(inScope(Scope::kObject),
             "JsonWriter: endObject without beginObject");
   DSN_CHECK(!keyPending_, "JsonWriter: dangling key at endObject");
-  stack_.pop_back();
-  os_ << '}';
-  needComma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::beginArray() {
-  beforeValue();
-  os_ << '[';
-  stack_.push_back(Scope::kArray);
-  needComma_ = false;
-  return *this;
+  return close('}');
 }
 
 JsonWriter& JsonWriter::endArray() {
-  DSN_CHECK(!stack_.empty() && stack_.back() == Scope::kArray,
-            "JsonWriter: endArray without beginArray");
-  stack_.pop_back();
-  os_ << ']';
-  needComma_ = true;
-  return *this;
+  DSN_CHECK(inScope(Scope::kArray), "JsonWriter: endArray without beginArray");
+  return close(']');
 }
 
 JsonWriter& JsonWriter::value(std::string_view s) {
   beforeValue();
-  os_ << '"' << jsonEscape(s) << '"';
+  out_ += '"';
+  appendJsonEscaped(out_, s);
+  out_ += '"';
   needComma_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double d) {
-  beforeValue();
-  if (!std::isfinite(d)) {
-    os_ << "null";
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    os_ << buf;
-  }
-  needComma_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(bool b) {
-  beforeValue();
-  os_ << (b ? "true" : "false");
-  needComma_ = true;
-  return *this;
+  if (!std::isfinite(d)) return null();
+  char buf[40];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", d);
+  return scalar(std::string_view(buf, static_cast<std::size_t>(n)));
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
-  beforeValue();
-  os_ << v;
-  needComma_ = true;
-  return *this;
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  return scalar(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
-  beforeValue();
-  os_ << v;
-  needComma_ = true;
-  return *this;
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  return scalar(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
 }
 
-JsonWriter& JsonWriter::null() {
+JsonWriter& JsonWriter::scalar(std::string_view token) {
   beforeValue();
-  os_ << "null";
+  out_ += token;
   needComma_ = true;
   return *this;
 }

@@ -43,7 +43,7 @@ class Trace {
 
   std::size_t countOf(obs::FrType t) const;
 
-  /// Writes every stored event as JSON-lines (obs::appendFrEventJson's
+  /// Writes every stored event as JSON-lines (obs::writeFrEventJson's
   /// radio schema). Dropped events are not replayable, so callers should
   /// also persist droppedEvents() when it matters.
   void writeJsonl(std::ostream& os) const;

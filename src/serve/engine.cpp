@@ -1,8 +1,6 @@
 #include "serve/engine.hpp"
 
-#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <istream>
 #include <map>
@@ -23,182 +21,71 @@ namespace dsn::serve {
 
 namespace {
 
-// ---- allocation-free record appenders ----
-// The record is built by appending into the worker's retained buffer;
-// numbers render through stack buffers (to_chars / snprintf), so once
-// the buffer capacity has seen the workload's high-water mark the whole
-// emit path never touches the heap. obs::JsonWriter is NOT used here —
-// it builds on ostringstream, which allocates per record.
+// ---- record rendering ----
+// Records render through one obs::JsonWriter over the worker's retained
+// buffer. The writer allocates nothing itself, so once the buffer
+// capacity has seen the workload's high-water mark the whole emit path
+// never touches the heap.
 
-void appendU64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
-void appendI64(std::string& out, std::int64_t v) {
-  char buf[24];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
-void appendDouble(std::string& out, double v) {
-  char buf[40];
-  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out.append(buf, static_cast<std::size_t>(n));
-}
-
-void appendQuoted(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void appendErrorRecord(std::string& out, const ServeJob& job,
+/// Replaces `out` with the job's dsnet-error-v1 record.
+void renderErrorRecord(std::string& out, const ServeJob& job,
                        std::string_view error) {
-  out += "{\"schema\":\"dsnet-error-v1\",\"tool\":\"wsn_serve\",\"job\":";
-  appendU64(out, job.id);
-  out += ",\"line\":";
-  appendU64(out, static_cast<std::uint64_t>(job.index) + 1);
-  out += ",\"error\":";
-  appendQuoted(out, error);
-  out += '}';
+  out.clear();
+  obs::JsonWriter w(out);
+  w.beginObject();
+  w.kv("schema", "dsnet-error-v1");
+  w.kv("tool", "wsn_serve");
+  w.kv("job", job.id);
+  w.kv("line", static_cast<std::uint64_t>(job.index) + 1);
+  w.kv("error", error);
+  w.endObject();
 }
 
-void appendConfig(std::string& out, const ServeJob& job) {
-  out += "\"config\":{\"nodes\":";
-  appendU64(out, job.nodes);
-  out += ",\"seed\":";
-  appendU64(out, job.seed);
-  out += ",\"field_units\":";
-  appendI64(out, job.fieldUnits);
-  out += ",\"range\":";
-  appendDouble(out, job.range);
-  out += ",\"deploy\":\"";
-  out += deploymentWord(job.deploy);
-  out += "\",\"drop\":";
-  appendDouble(out, job.drop);
-  out += ",\"channels\":";
-  appendU64(out, job.channels);
-  out += ",\"protocol\":";
-  if (job.protocol) {
-    out += '"';
-    out += schemeWord(*job.protocol);
-    out += '"';
-  } else {
-    out += "null";
-  }
-  out += ",\"trace_cap\":";
-  appendU64(out, job.traceCapacity);
-  out += ",\"mutates\":";
-  out += job.mutates ? "true" : "false";
-  out += ",\"fingerprint\":";
-  appendU64(out, job.fingerprint);
-  out += ",\"scenario\":";
-  appendQuoted(out, job.scenarioText);
-  out += '}';
+void writeConfig(obs::JsonWriter& w, const ServeJob& job) {
+  w.key("config").beginObject();
+  w.kv("nodes", static_cast<std::uint64_t>(job.nodes));
+  w.kv("seed", job.seed);
+  w.kv("field_units", job.fieldUnits);
+  w.kv("range", job.range);
+  w.kv("deploy", deploymentWord(job.deploy));
+  w.kv("drop", job.drop);
+  w.kv("channels", static_cast<std::uint64_t>(job.channels));
+  w.key("protocol");
+  if (job.protocol)
+    w.value(schemeWord(*job.protocol));
+  else
+    w.null();
+  w.kv("trace_cap", static_cast<std::uint64_t>(job.traceCapacity));
+  w.kv("mutates", job.mutates);
+  w.kv("fingerprint", job.fingerprint);
+  w.kv("scenario", job.scenarioText);
+  w.endObject();
 }
 
-void appendOutcome(std::string& out, const ScenarioOutcome& o) {
-  out += "\"outcome\":{\"events\":";
-  appendU64(out, o.eventsExecuted);
-  out += ",\"broadcasts\":";
-  appendU64(out, o.broadcasts);
-  out += ",\"arenas\":";
-  appendU64(out, o.arenas);
-  out += ",\"reliable_broadcasts\":";
-  appendU64(out, o.reliableBroadcasts);
-  out += ",\"multicasts\":";
-  appendU64(out, o.multicasts);
-  out += ",\"gathers\":";
-  appendU64(out, o.gathers);
-  out += ",\"crashes\":";
-  appendU64(out, o.crashes);
-  out += ",\"repairs\":";
-  appendU64(out, o.repairs);
-  out += ",\"worst_coverage\":";
-  appendDouble(out, o.worstCoverage);
-  out += ",\"worst_yield\":";
-  appendDouble(out, o.worstYield);
-  out += ",\"valid\":";
-  out += o.valid ? "true" : "false";
-  if (!o.valid) {
-    out += ",\"first_violation\":";
-    appendQuoted(out, o.firstViolation);
-  }
-  out += ",\"trace_events\":";
-  appendU64(out, o.traceEvents.size());
-  out += ",\"trace_dropped\":";
-  appendU64(out, o.traceDropped);
-  out += '}';
-}
-
-void appendMetrics(std::string& out, const obs::MetricsRegistry& reg) {
-  out += "\"metrics\":{\"counters\":{";
-  bool first = true;
-  reg.visitCounters([&](std::string_view name, std::uint64_t value) {
-    if (!first) out += ',';
-    first = false;
-    appendQuoted(out, name);
-    out += ':';
-    appendU64(out, value);
-  });
-  out += "},\"gauges\":{";
-  first = true;
-  reg.visitGauges([&](std::string_view name, double value) {
-    if (!first) out += ',';
-    first = false;
-    appendQuoted(out, name);
-    out += ':';
-    appendDouble(out, value);
-  });
-  out += "},\"histograms\":{";
-  first = true;
+/// The job registry with a compact histogram summary (no buckets).
+void writeMetrics(obs::JsonWriter& w, const obs::MetricsRegistry& reg) {
+  w.key("metrics").beginObject();
+  w.key("counters").beginObject();
+  reg.visitCounters(
+      [&](std::string_view name, std::uint64_t value) { w.kv(name, value); });
+  w.endObject();
+  w.key("gauges").beginObject();
+  reg.visitGauges(
+      [&](std::string_view name, double value) { w.kv(name, value); });
+  w.endObject();
+  w.key("histograms").beginObject();
   reg.visitHistograms([&](std::string_view name, const obs::Histogram& h) {
-    if (!first) out += ',';
-    first = false;
-    appendQuoted(out, name);
-    out += ":{\"count\":";
-    appendU64(out, h.count());
-    out += ",\"sum\":";
-    appendDouble(out, h.sum());
-    out += ",\"min\":";
-    appendDouble(out, h.minValue());
-    out += ",\"max\":";
-    appendDouble(out, h.maxValue());
-    out += ",\"p50\":";
-    appendDouble(out, h.percentile(0.50));
-    out += ",\"p95\":";
-    appendDouble(out, h.percentile(0.95));
-    out += '}';
+    w.key(name).beginObject();
+    w.kv("count", h.count());
+    w.kv("sum", h.sum());
+    w.kv("min", h.minValue());
+    w.kv("max", h.maxValue());
+    w.kv("p50", h.percentile(0.50));
+    w.kv("p95", h.percentile(0.95));
+    w.endObject();
   });
-  out += "}}";
-}
-
-void appendTrace(std::string& out, const std::vector<obs::FrEvent>& events) {
-  out += "\"trace\":[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) out += ',';
-    obs::appendFrEventJson(out, events[i]);
-  }
-  out += ']';
+  w.endObject();
+  w.endObject();
 }
 
 /// Reorders completion-order deliveries into job-index order and hands
@@ -251,7 +138,7 @@ ServeEngine::JobStatus ServeEngine::runJob(const ServeJob& job,
                                            JobScratch& ws) {
   ws.record.clear();
   if (job.failed()) {
-    appendErrorRecord(ws.record, job, job.parseError);
+    renderErrorRecord(ws.record, job, job.parseError);
     return JobStatus::kParseError;
   }
   try {
@@ -312,32 +199,29 @@ ServeEngine::JobStatus ServeEngine::runJob(const ServeJob& job,
       outcome = runScenario(*net, job.events, sopt);
     }
 
-    ws.record += "{\"schema\":\"dsnet-run-v1\",\"tool\":\"wsn_serve\","
-                 "\"job\":";
-    appendU64(ws.record, job.id);
-    ws.record += ',';
-    appendConfig(ws.record, job);
-    ws.record += ',';
-    appendOutcome(ws.record, outcome);
-    if (metered) {
-      ws.record += ',';
-      appendMetrics(ws.record, *jobMetrics);
-    }
+    obs::JsonWriter w(ws.record);
+    w.beginObject();
+    w.kv("schema", "dsnet-run-v1");
+    w.kv("tool", "wsn_serve");
+    w.kv("job", job.id);
+    writeConfig(w, job);
+    w.key("outcome");
+    writeOutcomeJson(w, outcome);
+    if (metered) writeMetrics(w, *jobMetrics);
     if (options_.includeTiming) {
-      obs::JsonWriter w;
+      w.key("timing");
       obs::writeTimingJson(w, *jobTiming);
-      ws.record += ",\"timing\":";
-      ws.record += w.str();
     }
     if (job.traceCapacity > 0) {
-      ws.record += ',';
-      appendTrace(ws.record, outcome.traceEvents);
+      w.key("trace").beginArray();
+      for (const obs::FrEvent& e : outcome.traceEvents)
+        obs::writeFrEventJson(w, e);
+      w.endArray();
     }
-    ws.record += '}';
+    w.endObject();
     return outcome.valid ? JobStatus::kOk : JobStatus::kInvalidOutcome;
   } catch (const std::exception& e) {
-    ws.record.clear();
-    appendErrorRecord(ws.record, job, e.what());
+    renderErrorRecord(ws.record, job, e.what());
     return JobStatus::kFailed;
   }
 }

@@ -13,9 +13,9 @@
 //
 // Steady-state serving performs zero marginal heap allocations in the
 // engine itself at --jobs 1 with telemetry off: warm cache hit (map
-// find + refcount), pooled scratch lease (freelist pop), record append
-// into retained capacity, to_chars/snprintf into stack buffers. The
-// serve alloc-guard pins this down.
+// find + refcount), pooled scratch lease (freelist pop), the record
+// rendered by obs::JsonWriter into retained capacity. The serve
+// alloc-guard pins this down.
 #pragma once
 
 #include <cstdint>

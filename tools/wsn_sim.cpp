@@ -324,6 +324,7 @@ dsn::ScenarioOutcome runReplicated(
       agg.log.push_back("[trial " + std::to_string(t) + "] " + line);
     agg.eventsExecuted += one.eventsExecuted;
     agg.broadcasts += one.broadcasts;
+    agg.arenas += one.arenas;
     agg.reliableBroadcasts += one.reliableBroadcasts;
     agg.multicasts += one.multicasts;
     agg.gathers += one.gathers;
@@ -364,23 +365,8 @@ std::string runDocumentJson(const CliOptions& opt,
        opt.scenarioPath.empty() ? "<demo>" : opt.scenarioPath);
   if (opt.protocol) w.kv("protocol", dsn::toString(*opt.protocol));
   w.endObject();
-  w.key("outcome").beginObject();
-  w.kv("events", static_cast<std::uint64_t>(outcome.eventsExecuted));
-  w.kv("broadcasts", static_cast<std::uint64_t>(outcome.broadcasts));
-  w.kv("reliable_broadcasts",
-       static_cast<std::uint64_t>(outcome.reliableBroadcasts));
-  w.kv("multicasts", static_cast<std::uint64_t>(outcome.multicasts));
-  w.kv("gathers", static_cast<std::uint64_t>(outcome.gathers));
-  w.kv("crashes", static_cast<std::uint64_t>(outcome.crashes));
-  w.kv("repairs", static_cast<std::uint64_t>(outcome.repairs));
-  w.kv("worst_coverage", outcome.worstCoverage);
-  w.kv("worst_yield", outcome.worstYield);
-  w.kv("valid", outcome.valid);
-  w.kv("trace_events",
-       static_cast<std::uint64_t>(outcome.traceEvents.size()));
-  w.kv("trace_dropped",
-       static_cast<std::uint64_t>(outcome.traceDropped));
-  w.endObject();
+  w.key("outcome");
+  dsn::writeOutcomeJson(w, outcome);
   w.key("metrics");
   dsn::obs::writeRegistryJson(w, dsn::obs::globalMetrics());
   w.key("timing");

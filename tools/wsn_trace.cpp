@@ -13,7 +13,7 @@
 // hotspots / retransmitters. --json emits the same data as a
 // dsnet-trace-summary-v1 document for schema validation in CI.
 //
-// jsonl renders every event with obs::appendFrEventJson, the renderer
+// jsonl renders every event with obs::writeFrEventJson, the renderer
 // behind wsn_sim --trace-out: radio events in the JSONL trace schema
 // ({"type","round","node","peer","channel","kind"}), other event types
 // extended with "data"/"aux" fields and a null kind.
