@@ -25,8 +25,9 @@ ReplicatedNetwork::ReplicatedNetwork(std::vector<Point2D> points,
 }
 
 NodeId ReplicatedNetwork::addSensor(const Point2D& p) {
+  const std::vector<NodeId> nearby = index_.queryNeighbors(p);
   const NodeId v = graph_->addNode();
-  for (NodeId u : index_.queryNeighbors(p)) {
+  for (NodeId u : nearby) {
     if (graph_->isAlive(u)) graph_->addEdge(v, u);
   }
   index_.insert(v, p);

@@ -71,8 +71,11 @@ void SensorNetwork::buildFromPoints(const ClusterNetConfig& clusterConfig) {
 }
 
 NodeId SensorNetwork::addSensor(const Point2D& p, bool* joined) {
+  // The query refuses a point off the index's grid before anything
+  // changes.
+  const std::vector<NodeId> nearby = index_.queryNeighbors(p);
   const NodeId v = graph_->addNode();
-  for (NodeId u : index_.queryNeighbors(p)) {
+  for (NodeId u : nearby) {
     if (graph_->isAlive(u)) graph_->addEdge(v, u);
   }
   index_.insert(v, p);
@@ -85,6 +88,10 @@ NodeId SensorNetwork::addSensor(const Point2D& p, bool* joined) {
 
 bool SensorNetwork::moveSensor(NodeId v, const Point2D& newPosition) {
   DSN_REQUIRE(graph_->isAlive(v), "moveSensor: node not deployed");
+  // Queried first, so a point off the index's grid is refused before
+  // anything changes. v still sits at its old position here, so the
+  // result may hold v itself; the re-wiring below skips it.
+  const std::vector<NodeId> nearby = index_.queryNeighbors(newPosition);
 
   // 1. Leave the structure (if inside); the subtree re-homes through the
   //    regular node-move-out machinery, but the node stays deployed.
@@ -93,12 +100,11 @@ bool SensorNetwork::moveSensor(NodeId v, const Point2D& newPosition) {
   // 2. Re-wire the radio neighborhood. The node currently carries no
   //    slots (withdraw cleared them), so edge changes cannot invalidate
   //    anyone's TDM conditions. The index keeps the id and migrates it
-  //    between grid cells in place; self-edges are skipped because the
-  //    query runs while v still sits at its old position.
+  //    between grid cells in place.
   for (NodeId u : std::vector<NodeId>(graph_->neighbors(v)))
     graph_->removeEdge(v, u);
   index_.updatePosition(v, newPosition);
-  for (NodeId u : index_.queryNeighbors(newPosition)) {
+  for (NodeId u : nearby) {
     if (u != v && graph_->isAlive(u)) graph_->addEdge(v, u);
   }
 

@@ -111,6 +111,8 @@ class SensorNetwork {
   /// Deploys a new sensor at `p`: allocates a node, wires its unit-disk
   /// edges, and move-ins it when it can reach the net. Returns the node
   /// id; `joined` (optional out) reports whether it entered the net.
+  /// A point off the unit-disk grid (see UnitDiskIndex) throws
+  /// PreconditionError and changes nothing.
   NodeId addSensor(const Point2D& p, bool* joined = nullptr);
 
   /// node-move-out + removal from the deployment.
@@ -150,7 +152,8 @@ class SensorNetwork {
   /// position, and re-joins it where possible. Returns whether the node
   /// is inside the net afterwards. This is the paper's "dynamic"
   /// scenario taken literally — a moving node is a move-out followed by
-  /// a move-in at the new location.
+  /// a move-in at the new location. Like addSensor, a point off the
+  /// unit-disk grid throws PreconditionError and changes nothing.
   bool moveSensor(NodeId v, const Point2D& newPosition);
 
   /// Discards the cluster structure and re-runs self-construction over

@@ -18,6 +18,22 @@ Graph buildUnitDiskGraph(const std::vector<Point2D>& points, double range) {
   return g;
 }
 
+namespace {
+
+/// Grid cell index of coordinate `c`. packKey keeps 32 bits of each
+/// index and a query also visits the neighbouring cells, so the index
+/// must stay strictly inside (-(2^31 - 1), 2^31 - 1); anything else
+/// (NaN included) is refused before the conversion to an integer.
+std::int64_t cellIndex(double c, double range) {
+  constexpr double kLimit = 2147483647.0;
+  const double q = std::floor(c / range);
+  DSN_REQUIRE(q > -kLimit && q < kLimit,
+              "coordinate lies outside the unit-disk grid's 32-bit cells");
+  return static_cast<std::int64_t>(q);
+}
+
+}  // namespace
+
 UnitDiskIndex::UnitDiskIndex(double range) : range_(range) {
   DSN_REQUIRE(range > 0.0, "communication range must be positive");
 }
@@ -34,15 +50,14 @@ UnitDiskIndex::CellKey UnitDiskIndex::packKey(std::int64_t cx,
 UnitDiskIndex::CellKey UnitDiskIndex::cellOf(const Point2D& p) const {
   // Cell size equals the range, so all neighbors of a point lie in the
   // 3x3 block of cells around it.
-  return packKey(static_cast<std::int64_t>(std::floor(p.x / range_)),
-                 static_cast<std::int64_t>(std::floor(p.y / range_)));
+  return packKey(cellIndex(p.x, range_), cellIndex(p.y, range_));
 }
 
 std::vector<NodeId> UnitDiskIndex::queryNeighbors(const Point2D& p) const {
+  const std::int64_t cx = cellIndex(p.x, range_);
+  const std::int64_t cy = cellIndex(p.y, range_);
   std::vector<NodeId> out;
   out.reserve(16);
-  const auto cx = static_cast<std::int64_t>(std::floor(p.x / range_));
-  const auto cy = static_cast<std::int64_t>(std::floor(p.y / range_));
   for (std::int64_t dx = -1; dx <= 1; ++dx) {
     for (std::int64_t dy = -1; dy <= 1; ++dy) {
       // The neighbor cell key comes straight from the integer cell
@@ -62,8 +77,9 @@ std::vector<NodeId> UnitDiskIndex::queryNeighbors(const Point2D& p) const {
 
 void UnitDiskIndex::insert(NodeId id, const Point2D& p) {
   DSN_REQUIRE(!contains(id), "UnitDiskIndex::insert: duplicate id");
+  const CellKey cell = cellOf(p);
   positions_.emplace(id, p);
-  cells_[cellOf(p)].push_back(id);
+  cells_[cell].push_back(id);
 }
 
 void UnitDiskIndex::remove(NodeId id) {

@@ -23,7 +23,10 @@ Graph buildUnitDiskGraph(const std::vector<Point2D>& points, double range);
 
 /// Incremental unit-disk neighborhood index: a sparse spatial grid that
 /// maps a point to the ids of existing points within range. Used by the
-/// incremental deployment generator and by dynamic topologies.
+/// incremental deployment generator and by dynamic topologies. A grid
+/// cell index must fit in 32 bits: every call given a point whose
+/// coordinate / range lies beyond about ±2^31 (or is NaN) throws
+/// PreconditionError and changes nothing.
 class UnitDiskIndex {
  public:
   /// `range` must be positive.

@@ -3,6 +3,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
 
@@ -137,6 +138,32 @@ TEST(ScenarioRunnerTest, LeaveOfOutsiderThrows) {
   auto net = makeNet();
   EXPECT_THROW(runScenario(net, parseScenario("leave 9999\n")),
                PreconditionError);
+}
+
+TEST(ScenarioRunnerTest, OffGridPointsAreRefusedUnchanged) {
+  // 1e300 / range has no 32-bit unit-disk cell index: the network
+  // refuses the point before it changes anything.
+  auto net = makeNet(60);
+  const std::size_t size = net.size();
+  const std::size_t deployed = net.graph().size();
+  const std::size_t edges = net.graph().edgeCount();
+  const NodeId v = net.clusterNet().root();
+  const Point2D at = net.position(v);
+  const std::vector<NodeId> neighbors = net.graph().neighbors(v);
+
+  EXPECT_THROW(net.addSensor({1e300, 0.0}), PreconditionError);
+  EXPECT_THROW(net.moveSensor(v, {1e300, 0.0}), PreconditionError);
+  EXPECT_THROW(runScenario(net, parseScenario("join 1e300 0\n")),
+               PreconditionError);
+
+  EXPECT_EQ(net.size(), size);
+  EXPECT_EQ(net.graph().size(), deployed);
+  EXPECT_EQ(net.graph().edgeCount(), edges);
+  EXPECT_EQ(net.clusterNet().root(), v);
+  EXPECT_EQ(net.position(v).x, at.x);
+  EXPECT_EQ(net.position(v).y, at.y);
+  EXPECT_EQ(net.graph().neighbors(v), neighbors);
+  EXPECT_TRUE(net.validate().ok());
 }
 
 // ---- robustness events ----
