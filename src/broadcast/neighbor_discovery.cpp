@@ -18,6 +18,8 @@ namespace {
 constexpr std::uint32_t kHello = 0;
 constexpr std::uint32_t kAck = 1;
 constexpr std::uint32_t kReply = 2;
+/// Hard cap on the contention window's growth.
+constexpr int kMaxWindow = 1024;
 
 /// The handshake's swarm: the joiner and its neighbors, the responders.
 class DiscoverySwarm final : public SwarmProtocol {
@@ -27,7 +29,7 @@ class DiscoverySwarm final : public SwarmProtocol {
       : joiner_(joiner),
         cfg_(cfg),
         window_(cfg.initialWindow),
-        helloTimeout_(2 * (1 + 2 * static_cast<Round>(cfg.maxWindow)) + 8),
+        helloTimeout_(2 * (1 + 2 * static_cast<Round>(kMaxWindow)) + 8),
         rng_(nodeCount),
         replyRound_(nodeCount, -1),
         lastHello_(nodeCount, 0),
@@ -125,7 +127,7 @@ class DiscoverySwarm final : public SwarmProtocol {
         joinerDone_ = true;
         return Action::sleep();
       }
-      window_ = std::min(window_ * 2, cfg_.maxWindow);
+      window_ = std::min(window_ * 2, kMaxWindow);
     } else {
       silentStreak_ = 0;  // fruitful window: keep its size
     }

@@ -15,7 +15,7 @@
 //      Replies that collide go unheard and unacknowledged; their senders
 //      retry in the next cycle;
 //   4. a cycle in which the joiner heard any reply keeps W; a silent
-//      cycle doubles it (up to maxWindow). Without collision detection a
+//      cycle doubles it (up to 1024). Without collision detection a
 //      fully collided cycle looks silent, so the joiner stops only after
 //      two silent cycles at W >= 16 once it has heard someone, or at the
 //      first silent cycle at W >= 64 while it has heard no one. A
@@ -33,10 +33,9 @@
 namespace dsn {
 
 struct DiscoveryConfig {
-  /// Initial contention window (doubles after each silent cycle).
+  /// Initial contention window (doubles after each silent cycle, up to
+  /// 1024).
   int initialWindow = 2;
-  /// Hard cap on the window growth.
-  int maxWindow = 1024;
   /// RNG seed for the neighbors' slot draws.
   std::uint64_t seed = 0xD15C0;
   /// Safety stop.

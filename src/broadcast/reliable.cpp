@@ -27,6 +27,10 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+/// From the second repair round on, each responder answers with this
+/// probability (a hash-coin backoff that thins colliding replies).
+constexpr double kResponderKeepProbability = 0.7;
+
 /// Deterministic coin in [0,1) from (seed, node, repair round); drives
 /// the responder backoff without any shared RNG state.
 double hashCoin(std::uint64_t seed, NodeId v, int repairRound) {
@@ -219,9 +223,6 @@ ReliableBroadcastRun runReliableBroadcast(BroadcastScheme scheme,
               "rivals do not have");
   DSN_REQUIRE(options.maxRepairRounds >= 0,
               "maxRepairRounds must be non-negative");
-  DSN_REQUIRE(options.responderKeepProbability > 0.0 &&
-                  options.responderKeepProbability <= 1.0,
-              "responderKeepProbability must be in (0,1]");
   DSN_TIMED_PHASE("broadcast.reliable");
   obs::recordRunBegin(obs::FrRunKind::kReliable, source);
 
@@ -269,9 +270,8 @@ ReliableBroadcastRun runReliableBroadcast(BroadcastScheme scheme,
         static_cast<int>(maxDepth) + 1, payload);
     for (NodeId v : intended) {
       const bool eligible =
-          k == 0 || options.responderKeepProbability >= 1.0 ||
-          hashCoin(options.base.failureSeed, v, k) <
-              options.responderKeepProbability;
+          k == 0 || hashCoin(options.base.failureSeed, v, k) <
+                        kResponderKeepProbability;
       swarm->addMember(v, net.depth(v),
                        net.upSlot(v) == kNoSlot ? 1 : net.upSlot(v),
                        covered[v] != 0, eligible);

@@ -42,9 +42,6 @@ struct ReliableOptions {
   ProtocolOptions base;
   /// Retry budget: repair rounds after the main wave.
   int maxRepairRounds = 8;
-  /// Responder keep-probability for the hash-coin backoff applied from
-  /// the second repair round on (1.0 disables the backoff).
-  double responderKeepProbability = 0.7;
 };
 
 /// Outcome of a reliable broadcast (wave + repair rounds).

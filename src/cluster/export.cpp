@@ -14,7 +14,7 @@ std::string toDot(const ClusterNet& net, const DotOptions& options) {
 
   for (NodeId v : net.netNodes()) {
     os << "  n" << v << " [label=\"" << v << "\\nd" << net.depth(v);
-    if (options.includeSlotLabels && net.isBackbone(v)) {
+    if (net.isBackbone(v)) {
       os << "\\nb" << net.bSlot(v) << " l" << net.lSlot(v) << " u"
          << net.uSlot(v);
     }

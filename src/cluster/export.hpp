@@ -14,7 +14,6 @@ namespace dsn {
 
 struct DotOptions {
   bool includeRadioEdges = true;  ///< dotted non-tree G edges
-  bool includeSlotLabels = true;  ///< "b/l/u" slot annotations
 };
 
 /// Graphviz (dot language) rendering of the structure.

@@ -6,6 +6,13 @@
 
 namespace dsn {
 
+namespace {
+
+/// Per-round radio costs the battery drains by.
+constexpr EnergyModel kRadioCosts{};
+
+}  // namespace
+
 BatteryManager::BatteryManager(SensorNetwork& net, BatteryConfig config)
     : net_(net), cfg_(config) {
   DSN_REQUIRE(cfg_.capacity > 0, "battery capacity must be positive");
@@ -21,9 +28,9 @@ void BatteryManager::drainFromRun(const BroadcastRun& run) {
   for (auto& [v, charge] : charge_) {
     if (resting_[v]) continue;
     if (v < run.listenRounds.size()) {
-      charge -= cfg_.model.listenCost *
+      charge -= kRadioCosts.listenCost *
                     static_cast<double>(run.listenRounds[v]) +
-                cfg_.model.transmitCost *
+                kRadioCosts.transmitCost *
                     static_cast<double>(run.transmitRounds[v]);
     }
     charge = std::max(charge, 0.0);

@@ -29,8 +29,6 @@ struct BatteryConfig {
   double rechargePerTick = 25.0;
   /// Charge lost per tick just for being deployed and in the net.
   double idleDrainPerTick = 0.2;
-  /// Radio energy model (per-round costs).
-  EnergyModel model;
 };
 
 struct BatteryTickReport {

@@ -12,6 +12,11 @@ namespace {
 
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
+/// Payload of the first wave; every wave and repair wave takes the next.
+constexpr std::uint64_t kPayloadBase = 0xDA7A0000;
+/// Re-issues of a completed wave that missed settled receivers, run
+/// against the repaired structure; union coverage is credited.
+constexpr std::size_t kMaxRepairWaves = 2;
 
 void fold(std::uint64_t& h, std::uint64_t v) {
   h ^= v;
@@ -25,7 +30,7 @@ CampaignResult runMobilityCampaign(SensorNetwork& net, ChurnEngine& churn,
   CampaignResult res;
   Rng srcRng(cfg.sourceSeed);
   std::uint64_t digest = kFnvOffset;
-  std::uint64_t payload = cfg.payloadBase;
+  std::uint64_t payload = kPayloadBase;
 
   const Round step = std::max<Round>(1, cfg.churnPeriod);
   std::unique_ptr<InFlightBroadcast> wave;
@@ -73,32 +78,30 @@ CampaignResult runMobilityCampaign(SensorNetwork& net, ChurnEngine& churn,
     }
 
     std::size_t covered = r.deliveredSettled;
-    if (cfg.repairWaves) {
-      for (std::size_t attempt = 0;
-           attempt < cfg.maxRepairWaves && !missing.empty(); ++attempt) {
-        // The repaired structure may have dropped some of them (orphaned
-        // outside the net); those are unreachable, not retried.
-        missing.erase(std::remove_if(missing.begin(), missing.end(),
-                                     [&](NodeId v) {
-                                       return !net.clusterNet().contains(v);
-                                     }),
-                      missing.end());
-        if (missing.empty() || net.size() < 2) break;
-        if (net.hasStaleStructure()) net.repairAfterFailures();
-        const NodeId src = net.randomNode(srcRng);
-        InFlightBroadcast repairWave(net.clusterNet(), cfg.scheme, src,
-                                     payload++, makeOptions());
-        repairWave.runToCompletion();
-        ++res.repairWavesRun;
-        std::vector<NodeId> still;
-        for (NodeId v : missing) {
-          if (repairWave.deliveredTo(v))
-            ++covered;
-          else
-            still.push_back(v);
-        }
-        missing.swap(still);
+    for (std::size_t attempt = 0;
+         attempt < kMaxRepairWaves && !missing.empty(); ++attempt) {
+      // The repaired structure may have dropped some of them (orphaned
+      // outside the net); those are unreachable, not retried.
+      missing.erase(std::remove_if(missing.begin(), missing.end(),
+                                   [&](NodeId v) {
+                                     return !net.clusterNet().contains(v);
+                                   }),
+                    missing.end());
+      if (missing.empty() || net.size() < 2) break;
+      if (net.hasStaleStructure()) net.repairAfterFailures();
+      const NodeId src = net.randomNode(srcRng);
+      InFlightBroadcast repairWave(net.clusterNet(), cfg.scheme, src,
+                                   payload++, makeOptions());
+      repairWave.runToCompletion();
+      ++res.repairWavesRun;
+      std::vector<NodeId> still;
+      for (NodeId v : missing) {
+        if (repairWave.deliveredTo(v))
+          ++covered;
+        else
+          still.push_back(v);
       }
+      missing.swap(still);
     }
     res.settledCovered += covered;
 

@@ -38,11 +38,6 @@ struct CampaignConfig {
   /// engines resync — every `churnPeriod` rounds.
   Round churnPeriod = 8;
   BroadcastScheme scheme = BroadcastScheme::kImprovedCff;
-  std::uint64_t payloadBase = 0xDA7A0000;
-  /// Re-issue a completed wave that missed settled receivers against the
-  /// repaired structure, and credit union coverage.
-  bool repairWaves = true;
-  std::size_t maxRepairWaves = 2;
   /// Per-wave protocol knobs.
   ProtocolOptions protocol;
   std::uint64_t sourceSeed = 0x5EED;

@@ -126,7 +126,6 @@ void ChurnEngine::repair(ChurnTick& t) {
 }
 
 void ChurnEngine::validateStructure(ChurnTick& t) {
-  if (!cfg_.validateAfterRepair) return;
   ++totals_.validations;
   if (!net_.validate().ok()) {
     t.validated = false;

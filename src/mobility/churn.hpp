@@ -19,7 +19,7 @@
 //                 the Gavalas-style adaptive maintenance policy.
 //
 // Every tick ends validator-clean: crashes are repaired inside the tick
-// (batched), and with validateAfterRepair the engine asserts it. The
+// (batched), and the engine runs the validator to check it. The
 // whole engine is a deterministic function of (config, model, seed).
 #pragma once
 
@@ -62,9 +62,6 @@ struct ChurnConfig {
   /// Where joiners appear (should match the deployment field).
   Field field;
   std::uint64_t seed = 0xC0FFEE;
-  /// Run the full structural validator after every repair/rebuild and
-  /// count failures (the campaign acceptance gate).
-  bool validateAfterRepair = true;
 };
 
 /// What one tick did — `disturbed` lists the node ids whose structural

@@ -11,6 +11,8 @@ namespace dsn::testkit {
 namespace {
 
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+/// Failing episodes retained in full (beyond counting).
+constexpr std::size_t kMaxFailuresKept = 5;
 
 void fold(std::uint64_t& digest, std::uint64_t x) {
   for (int i = 0; i < 8; ++i) {
@@ -50,7 +52,7 @@ FuzzReport runFuzz(const FuzzConfig& config) {
     report.simRuns += slot.result.simRuns;
     if (slot.result.ok) continue;
     ++report.failed;
-    if (report.failures.size() < config.maxFailuresKept) {
+    if (report.failures.size() < kMaxFailuresKept) {
       FuzzFailure f;
       f.episodeIndex = i;
       f.episodeSeed = slot.seed;

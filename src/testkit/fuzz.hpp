@@ -24,8 +24,6 @@ struct FuzzConfig {
   EpisodeOptions episode;
   /// Minimize the first failing episode (serial, after the sweep).
   bool shrinkFailures = true;
-  /// Failing episodes retained in full (beyond counting).
-  std::size_t maxFailuresKept = 5;
 };
 
 /// One retained failure.
@@ -46,7 +44,7 @@ struct FuzzReport {
   std::size_t opsExecuted = 0;
   std::size_t opsSkipped = 0;
   std::size_t simRuns = 0;
-  /// First maxFailuresKept failures, in episode order.
+  /// The first five failures, in episode order (the rest are counted).
   std::vector<FuzzFailure> failures;
 
   bool clean() const { return failed == 0; }
