@@ -112,8 +112,8 @@ class GroupMobilityModel : public MobilityModel {
 };
 
 /// Replayable scripted motion: an explicit (round, node, position) list,
-/// emitted verbatim. The scenario runner's `waypoint` events compile to
-/// this, and recorded campaigns replay through it.
+/// emitted verbatim. Only tests drive it today; the scenario runner's
+/// `waypoint` events use core/mobility's RandomWaypointMobility.
 class ScriptedMobilityModel : public MobilityModel {
  public:
   /// Appends a scripted move. Rounds may arrive out of order; the script
