@@ -27,18 +27,22 @@ class InvariantError : public std::logic_error {
 
 namespace detail {
 
-[[noreturn]] inline void throwPrecondition(const char* expr, const char* file,
-                                           int line, const std::string& msg) {
+// The text names the expression and the message but not the source
+// file or line: serve copies it into error records, which must be a pure
+// function of the job line, whatever the checkout path or the line the
+// check sits on.
+[[noreturn]] inline void throwPrecondition(const char* expr,
+                                           const std::string& msg) {
   std::ostringstream os;
-  os << "precondition failed: " << expr << " at " << file << ":" << line;
+  os << "precondition failed: " << expr;
   if (!msg.empty()) os << " — " << msg;
   throw PreconditionError(os.str());
 }
 
-[[noreturn]] inline void throwInvariant(const char* expr, const char* file,
-                                        int line, const std::string& msg) {
+[[noreturn]] inline void throwInvariant(const char* expr,
+                                        const std::string& msg) {
   std::ostringstream os;
-  os << "invariant violated: " << expr << " at " << file << ":" << line;
+  os << "invariant violated: " << expr;
   if (!msg.empty()) os << " — " << msg;
   throw InvariantError(os.str());
 }
@@ -47,15 +51,13 @@ namespace detail {
 }  // namespace dsn
 
 /// Validate a public-API precondition; throws dsn::PreconditionError.
-#define DSN_REQUIRE(expr, msg)                                          \
-  do {                                                                  \
-    if (!(expr))                                                        \
-      ::dsn::detail::throwPrecondition(#expr, __FILE__, __LINE__, msg); \
+#define DSN_REQUIRE(expr, msg)                                 \
+  do {                                                         \
+    if (!(expr)) ::dsn::detail::throwPrecondition(#expr, msg); \
   } while (false)
 
 /// Validate an internal invariant; throws dsn::InvariantError.
-#define DSN_CHECK(expr, msg)                                         \
-  do {                                                               \
-    if (!(expr))                                                     \
-      ::dsn::detail::throwInvariant(#expr, __FILE__, __LINE__, msg); \
+#define DSN_CHECK(expr, msg)                                \
+  do {                                                      \
+    if (!(expr)) ::dsn::detail::throwInvariant(#expr, msg); \
   } while (false)
