@@ -1,5 +1,6 @@
 #include "serve/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <istream>
@@ -232,7 +233,9 @@ ServeReport ServeEngine::serveJobs(
   const auto t0 = std::chrono::steady_clock::now();
   const WarmStateCache::Stats before = cache_.stats();
   ServeReport report;
-  const std::size_t workers = exec::resolveJobs(options_.jobs);
+  // No more workers than jobs, as exec::forEachIndex caps its pool.
+  const std::size_t workers =
+      std::min(exec::resolveJobs(options_.jobs), jobs.size());
   report.workers = workers;
   report.jobsRun = jobs.size();
 

@@ -51,6 +51,7 @@ struct ServeReport {
   std::size_t jobsFailed = 0;
   /// Scenario runs that completed but failed an invariant validation.
   std::size_t invalidOutcomes = 0;
+  /// Workers used: ServeOptions::jobs resolved, capped at the job count.
   std::size_t workers = 0;
   double wallMs = 0.0;
   WarmStateCache::Stats cache;
