@@ -8,14 +8,8 @@
 // reference simulator, reliable-vs-plain supersetness, multicast
 // flood/pruned containment, trace consistency against the radio axioms,
 // and validator-vs-independent-spec-checker agreement on the structure.
-//
-//   wsn_fuzz [--episodes N] [--seed S] [--jobs N] [--verify-jobs N]
-//            [--min-nodes N] [--max-nodes N] [--field UNITS] [--ops N]
-//            [--channels K] [--inject-cff-bug] [--replay-seed S]
-//            [--json FILE] [--artifacts DIR] [--no-shrink] [--quiet]
-//
-// --channels K (1 <= K <= 256, kMaxChannels) sets every episode's radio
-// channel count.
+// `wsn_fuzz --help` lists the flags; --channels sets every episode's
+// radio channel count.
 //
 // The campaign is deterministically parallel: results (including the
 // campaign digest) are bit-identical at every --jobs count.
@@ -33,122 +27,56 @@
 // exact event stream leading into the failure.
 //
 // Exit status: 0 clean, 1 failures found or digest mismatch, 2 usage.
-#include <cstdlib>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "obs/flight.hpp"
 #include "obs/flight_io.hpp"
 #include "radio/simulator.hpp"
 #include "testkit/fuzz.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
 struct CliOptions {
   dsn::testkit::FuzzConfig fuzz;
   int verifyJobs = -1;  ///< < 0 = off
-  bool replay = false;
-  std::uint64_t replaySeed = 0;
+  std::optional<std::uint64_t> replaySeed;
   std::string jsonPath;
   std::string artifactsDir;
+  bool noShrink = false;
   bool quiet = false;
 };
 
-void usage(std::ostream& os) {
-  os << "usage: wsn_fuzz [--episodes N] [--seed S] [--jobs N]\n"
-        "                [--verify-jobs N] [--min-nodes N] [--max-nodes N]\n"
-        "                [--field UNITS] [--ops N] [--channels K]\n"
-        "                [--inject-cff-bug] [--replay-seed S]\n"
-        "                [--json FILE] [--artifacts DIR] [--no-shrink]\n"
-        "                [--quiet]\n";
-}
-
-bool parseArgs(int argc, char** argv, CliOptions& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--episodes") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fuzz.episodes = std::strtoul(v, nullptr, 10);
-      if (opt.fuzz.episodes == 0) return false;
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fuzz.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--jobs" || arg == "-j") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fuzz.jobs = std::atoi(v);
-      if (opt.fuzz.jobs < 0) return false;
-    } else if (arg == "--verify-jobs") {
-      const char* v = next();
-      if (!v) return false;
-      opt.verifyJobs = std::atoi(v);
-      if (opt.verifyJobs < 0) return false;
-    } else if (arg == "--min-nodes") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fuzz.knobs.minNodes = std::strtoul(v, nullptr, 10);
-      if (opt.fuzz.knobs.minNodes < 2) return false;
-    } else if (arg == "--max-nodes") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fuzz.knobs.maxNodes = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--field") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fuzz.knobs.fieldUnits = std::atoi(v);
-      if (opt.fuzz.knobs.fieldUnits < 1) return false;
-    } else if (arg == "--ops") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fuzz.knobs.maxOps = std::strtoul(v, nullptr, 10);
-      if (opt.fuzz.knobs.maxOps == 0) return false;
-      opt.fuzz.knobs.minOps =
-          std::min(opt.fuzz.knobs.minOps, opt.fuzz.knobs.maxOps);
-    } else if (arg == "--channels") {
-      const char* v = next();
-      if (!v) return false;
-      char* end = nullptr;
-      const long long k = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || k < 1 || k > dsn::kMaxChannels)
-        return false;
-      opt.fuzz.episode.channels = static_cast<dsn::Channel>(k);
-    } else if (arg == "--inject-cff-bug") {
-      opt.fuzz.episode.injectCffSlotBug = true;
-    } else if (arg == "--replay-seed") {
-      const char* v = next();
-      if (!v) return false;
-      opt.replay = true;
-      opt.replaySeed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--json") {
-      const char* v = next();
-      if (!v) return false;
-      opt.jsonPath = v;
-    } else if (arg == "--artifacts") {
-      const char* v = next();
-      if (!v) return false;
-      opt.artifactsDir = v;
-    } else if (arg == "--no-shrink") {
-      opt.fuzz.shrinkFailures = false;
-    } else if (arg == "--quiet") {
-      opt.quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return false;
-    }
-  }
-  if (opt.fuzz.knobs.maxNodes < opt.fuzz.knobs.minNodes) return false;
-  return true;
+/// The flag table: every wsn_fuzz flag, its value and where it goes.
+std::vector<dsn::cli::Flag> flagTable(CliOptions& opt) {
+  namespace cli = dsn::cli;
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  dsn::testkit::GeneratorKnobs& knobs = opt.fuzz.knobs;
+  return {
+      cli::integer("--episodes", "N", opt.fuzz.episodes, 1),
+      cli::integer("--seed", "S", opt.fuzz.seed),
+      cli::integer("--jobs|-j", "N", opt.fuzz.jobs, 0, kIntMax),
+      cli::integer("--verify-jobs", "N", opt.verifyJobs, 0, kIntMax),
+      cli::integer("--min-nodes", "N", knobs.minNodes, 2),
+      cli::integer("--max-nodes", "N", knobs.maxNodes),
+      cli::integer("--field", "UNITS", knobs.fieldUnits, 1, kIntMax),
+      cli::integer("--ops", "N", knobs.maxOps, 1),
+      cli::integer("--channels", "K", opt.fuzz.episode.channels, 1,
+                   dsn::kMaxChannels),
+      cli::toggle("--inject-cff-bug", opt.fuzz.episode.injectCffSlotBug),
+      cli::integer("--replay-seed", "S", opt.replaySeed),
+      cli::text("--json", "FILE", opt.jsonPath),
+      cli::text("--artifacts", "DIR", opt.artifactsDir),
+      cli::toggle("--no-shrink", opt.noShrink),
+      cli::toggle("--quiet", opt.quiet),
+  };
 }
 
 void printFailure(const dsn::testkit::FuzzFailure& f) {
@@ -205,21 +133,28 @@ bool writeArtifacts(const std::string& dir,
 
 int main(int argc, char** argv) {
   CliOptions opt;
-  if (!parseArgs(argc, argv, opt)) {
-    usage(std::cerr);
+  const auto flags = flagTable(opt);
+  if (const auto status = dsn::cli::parse("wsn_fuzz", flags, argc, argv))
+    return *status;
+  dsn::testkit::GeneratorKnobs& knobs = opt.fuzz.knobs;
+  if (knobs.maxNodes < knobs.minNodes) {
+    std::cerr << "--max-nodes must be at least --min-nodes\n";
+    dsn::cli::usage(std::cerr, "wsn_fuzz", flags);
     return 2;
   }
+  knobs.minOps = std::min(knobs.minOps, knobs.maxOps);
+  opt.fuzz.shrinkFailures = !opt.noShrink;
 
-  if (opt.replay) {
-    const auto r = dsn::testkit::replayEpisode(opt.replaySeed,
+  if (opt.replaySeed) {
+    const auto r = dsn::testkit::replayEpisode(*opt.replaySeed,
                                                opt.fuzz.knobs,
                                                opt.fuzz.episode);
     if (r.ok) {
-      std::cout << "episode seed " << opt.replaySeed << ": clean ("
+      std::cout << "episode seed " << *opt.replaySeed << ": clean ("
                 << r.opsExecuted << " ops, digest " << r.digest << ")\n";
       return 0;
     }
-    std::cerr << "episode seed " << opt.replaySeed << " fails at op "
+    std::cerr << "episode seed " << *opt.replaySeed << " fails at op "
               << r.failingOp << ": [" << r.failureClass << "] " << r.message
               << "\n";
     return 1;

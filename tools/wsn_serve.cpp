@@ -6,13 +6,7 @@
 // cache keyed by deployment fingerprint, and streams one dsnet-run-v1
 // (or dsnet-error-v1) record per job to stdout in job order. Output is
 // byte-identical at any --jobs count: every record is a pure function
-// of its own job line.
-//
-//   wsn_serve [--batch FILE] [--out FILE] [--jobs N]
-//             [--cache-capacity N] [--timing] [--quiet]
-//   wsn_serve --emit-demo N [--demo-seed S] [--demo-nodes N]
-//             [--demo-deployments K] [--demo-mutating M]
-//             [--demo-heavy H] [--out FILE]
+// of its own job line. `wsn_serve --help` lists the flags.
 //
 // --emit-demo writes a deterministic mixed demo workload as job lines
 // instead of serving (feed it back in: the CI smoke and the nightly
@@ -20,25 +14,18 @@
 //
 // Exit status: 0 all jobs ok, 1 any parse error or failed job, 2 usage.
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "serve/engine.hpp"
 #include "serve/job.hpp"
+#include "util/cli.hpp"
 
 namespace {
-
-void usage(std::ostream& os) {
-  os << "usage: wsn_serve [--batch FILE] [--out FILE] [--jobs N]\n"
-        "                 [--cache-capacity N] [--timing] [--quiet]\n"
-        "       wsn_serve --emit-demo N [--demo-seed S] [--demo-nodes N]\n"
-        "                 [--demo-deployments K] [--demo-mutating M]\n"
-        "                 [--demo-heavy H] [--out FILE]\n";
-}
 
 struct Cli {
   std::string batchPath;
@@ -55,76 +42,33 @@ struct Cli {
   std::size_t demoHeavy = 4;
 };
 
-bool parseCli(int argc, char** argv, Cli& cli) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--batch") {
-      const char* v = next();
-      if (!v) return false;
-      cli.batchPath = v;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return false;
-      cli.outPath = v;
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v) return false;
-      cli.jobs = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (arg == "--cache-capacity") {
-      const char* v = next();
-      if (!v) return false;
-      cli.cacheCapacity = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--timing") {
-      cli.timing = true;
-    } else if (arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--emit-demo") {
-      const char* v = next();
-      if (!v) return false;
-      cli.emitDemo = std::strtoull(v, nullptr, 10);
-      if (cli.emitDemo == 0) return false;
-    } else if (arg == "--demo-seed") {
-      const char* v = next();
-      if (!v) return false;
-      cli.demoSeed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--demo-nodes") {
-      const char* v = next();
-      if (!v) return false;
-      cli.demoNodes = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--demo-deployments") {
-      const char* v = next();
-      if (!v) return false;
-      cli.demoDeployments = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--demo-mutating") {
-      const char* v = next();
-      if (!v) return false;
-      cli.demoMutating = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--demo-heavy") {
-      const char* v = next();
-      if (!v) return false;
-      cli.demoHeavy = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return false;
-    }
-  }
-  return true;
+/// The flag table: every wsn_serve flag, its value and where it goes.
+std::vector<dsn::cli::Flag> flagTable(Cli& opt) {
+  namespace cli = dsn::cli;
+  return {
+      cli::text("--batch", "FILE", opt.batchPath),
+      cli::text("--out", "FILE", opt.outPath),
+      cli::integer("--jobs", "N", opt.jobs, 0,
+                   std::numeric_limits<int>::max()),
+      cli::integer("--cache-capacity", "N", opt.cacheCapacity),
+      cli::toggle("--timing", opt.timing),
+      cli::toggle("--quiet", opt.quiet),
+      cli::integer("--emit-demo", "N", opt.emitDemo, 1),
+      cli::integer("--demo-seed", "S", opt.demoSeed),
+      cli::integer("--demo-nodes", "N", opt.demoNodes, 1),
+      cli::integer("--demo-deployments", "K", opt.demoDeployments, 1),
+      cli::integer("--demo-mutating", "M", opt.demoMutating),
+      cli::integer("--demo-heavy", "H", opt.demoHeavy),
+  };
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Cli cli;
-  if (!parseCli(argc, argv, cli)) {
-    usage(std::cerr);
-    return 2;
-  }
+  if (const auto status =
+          dsn::cli::parse("wsn_serve", flagTable(cli), argc, argv))
+    return *status;
 
   std::ofstream outFile;
   std::ostream* out = &std::cout;
