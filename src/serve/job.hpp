@@ -10,7 +10,8 @@
 //
 // Required: `schema`, `nodes`, `scenario` (scenario grammar as in
 // core/scenario.hpp, newlines escaped). Everything else defaults to the
-// wsn_sim CLI defaults. `channels` must lie in [1, 256] (kMaxChannels,
+// wsn_sim CLI defaults, except `seed`, which defaults to 1 here and to
+// 2007 in wsn_sim. `channels` must lie in [1, 256] (kMaxChannels,
 // radio/simulator.hpp). `id` defaults to the line index; explicit ids
 // must be strictly increasing across a stream so "ordered by id" and
 // "ordered by arrival" coincide and the emitter never has to buffer
