@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
 
 #include "graph/algorithms.hpp"
@@ -92,6 +94,55 @@ TEST(DeployTest, IncrementalPrefixesAreAttachable) {
     EXPECT_FALSE(idx.queryNeighbors(pts[i]).empty())
         << "node " << i << " has no earlier neighbor";
     idx.insert(i, pts[i]);
+  }
+}
+
+/// FNV-1a over the bit patterns of every point's coordinates, in order.
+std::uint64_t pointDigest(const std::vector<Point2D>& pts) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const Point2D& p : pts) {
+    mix(std::bit_cast<std::uint64_t>(p.x));
+    mix(std::bit_cast<std::uint64_t>(p.y));
+  }
+  return h;
+}
+
+// The exact points incremental attach draws at range 50, recorded from
+// the hash-map spatial index. The rejection test and the annulus
+// fallback both consume the rng, so an index change that alters any
+// answer moves every later point. Rows: the serve churn shape (200
+// nodes in 10 x 10 units) at three seeds, each with 7-8 fallbacks; 40
+// nodes in the same field, sparse enough that 3 early nodes exhaust
+// their 64 rejections and take the fallback; and 500 nodes packed into
+// 4 x 4 units, which never falls back.
+TEST(DeployTest, IncrementalAttachPointsArePinned) {
+  struct Row {
+    std::uint64_t seed;
+    std::size_t nodes;
+    int units;
+    std::uint64_t digest;
+  };
+  const Row rows[] = {
+      {1, 200, 10, 0xb4401ff16ef11f3aull},
+      {2, 200, 10, 0x8e7b9f15c27772bcull},
+      {3, 200, 10, 0x0059ea05d0f8c31dull},
+      {4, 40, 10, 0x9e3dccedc7408cdeull},
+      {5, 500, 4, 0xa14dfdb14d362379ull},
+  };
+  for (const Row& row : rows) {
+    Rng rng(row.seed);
+    const auto pts = deployIncrementalAttach(
+        {Field::squareUnits(row.units), 50.0, row.nodes}, rng);
+    ASSERT_EQ(pts.size(), row.nodes);
+    EXPECT_EQ(pointDigest(pts), row.digest)
+        << "seed " << row.seed << " n " << row.nodes << " units "
+        << row.units << ": got 0x" << std::hex << pointDigest(pts);
   }
 }
 
