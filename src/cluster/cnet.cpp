@@ -123,13 +123,6 @@ NodeId ClusterNet::selectCandidate(const std::vector<NodeId>& candidates) {
   return candidates.front();
 }
 
-std::vector<NodeId> ClusterNet::netNeighbors(NodeId v) const {
-  std::vector<NodeId> out;
-  for (NodeId u : graph_.neighbors(v))
-    if (contains(u)) out.push_back(u);
-  return out;
-}
-
 bool ClusterNet::canMoveIn(NodeId v) const {
   if (netSize_ == 0) return true;
   for (NodeId u : graph_.neighbors(v))

@@ -259,9 +259,11 @@ class ClusterNet {
   std::vector<std::size_t> depthCount_;
   RoundCost costs_;
   Rng attachRng_;
-  /// Procedure 1's forbidden-slot scratch. Only the mutating procedures
-  /// use it, and a net has one writer, so a member buffer is safe.
+  /// Procedure 1's forbidden-slot scratch and moveIn's candidate parents.
+  /// Only the mutating procedures use them, and a net has one writer, so
+  /// member buffers are safe.
   std::vector<TimeSlot> forbidden_;
+  std::vector<NodeId> candidates_;
 
   // -- shared helpers (cnet.cpp) --
   /// Neighbor range of v: the graph's CSR snapshot when it is fresh
@@ -284,8 +286,6 @@ class ClusterNet {
     return know_[v];
   }
   NodeId selectCandidate(const std::vector<NodeId>& candidates);
-  /// Net neighbors of v in G (live + inNet).
-  std::vector<NodeId> netNeighbors(NodeId v) const;
   /// Meters the "updating your height" messages on the path from
   /// `start` to the root: one per hop, depth(start) + 1 in all.
   void chargeRootPath(NodeId start);

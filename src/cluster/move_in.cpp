@@ -20,6 +20,10 @@
 
 namespace dsn {
 
+static_assert(NodeStatus::kClusterHead < NodeStatus::kGateway &&
+                  NodeStatus::kGateway < NodeStatus::kPureMember,
+              "moveIn ranks candidates in NodeStatus order");
+
 NodeId ClusterNet::moveIn(NodeId v) {
   ensureKnowledgeSize();
   DSN_REQUIRE(graph_.isAlive(v), "moveIn: node must be live in the graph");
@@ -48,42 +52,34 @@ NodeId ClusterNet::moveIn(NodeId v) {
     return kInvalidNode;
   }
 
-  const std::vector<NodeId> candidates = netNeighbors(v);
-  DSN_REQUIRE(!candidates.empty(),
+  // Apply the Definition-1 priority to U, v's net neighbours: keep those
+  // of the best status present, in neighbour order.
+  candidates_.clear();
+  for (NodeId u : graph_.neighbors(v)) {
+    if (!contains(u)) continue;
+    const NodeStatus s = know_[u].status;
+    if (!candidates_.empty()) {
+      const NodeStatus best = know_[candidates_.front()].status;
+      if (s > best) continue;
+      if (s < best) candidates_.clear();
+    }
+    candidates_.push_back(u);
+  }
+  DSN_REQUIRE(!candidates_.empty(),
               "moveIn: node has no neighbor inside the cluster net");
 
   // Attachment from [19] runs in O(d_new) expected rounds; we charge
   // exactly the degree of the joining node (DESIGN.md §2).
   costs_.attach += static_cast<std::int64_t>(graph_.degree(v));
 
-  // Partition U by status and apply the Definition-1 priority.
-  std::vector<NodeId> heads;
-  std::vector<NodeId> gateways;
-  std::vector<NodeId> members;
-  for (NodeId u : candidates) {
-    switch (know_[u].status) {
-      case NodeStatus::kClusterHead:
-        heads.push_back(u);
-        break;
-      case NodeStatus::kGateway:
-        gateways.push_back(u);
-        break;
-      case NodeStatus::kPureMember:
-        members.push_back(u);
-        break;
-    }
-  }
-
-  NodeId w = kInvalidNode;
-  if (!heads.empty()) {
-    w = selectCandidate(heads);
+  const NodeStatus best = know_[candidates_.front()].status;
+  const NodeId w = selectCandidate(candidates_);
+  if (best == NodeStatus::kClusterHead) {
     kv.status = NodeStatus::kPureMember;
-  } else if (!gateways.empty()) {
-    w = selectCandidate(gateways);
+  } else if (best == NodeStatus::kGateway) {
     kv.status = NodeStatus::kClusterHead;
     ++backboneCount_;
   } else {
-    w = selectCandidate(members);
     // Promotion: the only status mutation Definition 1 permits.
     know_[w].status = NodeStatus::kGateway;
     kv.status = NodeStatus::kClusterHead;

@@ -25,9 +25,9 @@ ReplicatedNetwork::ReplicatedNetwork(std::vector<Point2D> points,
 }
 
 NodeId ReplicatedNetwork::addSensor(const Point2D& p) {
-  const std::vector<NodeId> nearby = index_.queryNeighbors(p);
+  index_.queryNeighbors(p, nearby_);
   const NodeId v = graph_->addNode();
-  for (NodeId u : nearby) {
+  for (NodeId u : nearby_) {
     if (graph_->isAlive(u)) graph_->addEdge(v, u);
   }
   index_.insert(v, p);

@@ -75,6 +75,8 @@ class ReplicatedNetwork {
  private:
   std::unique_ptr<Graph> graph_;
   UnitDiskIndex index_;
+  /// addSensor's query buffer.
+  std::vector<NodeId> nearby_;
   std::vector<std::unique_ptr<ClusterNet>> nets_;
 };
 

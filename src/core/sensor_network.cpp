@@ -73,9 +73,9 @@ void SensorNetwork::buildFromPoints(const ClusterNetConfig& clusterConfig) {
 NodeId SensorNetwork::addSensor(const Point2D& p, bool* joined) {
   // The query refuses a point off the index's grid before anything
   // changes.
-  const std::vector<NodeId> nearby = index_.queryNeighbors(p);
+  index_.queryNeighbors(p, nearby_);
   const NodeId v = graph_->addNode();
-  for (NodeId u : nearby) {
+  for (NodeId u : nearby_) {
     if (graph_->isAlive(u)) graph_->addEdge(v, u);
   }
   index_.insert(v, p);
@@ -91,7 +91,7 @@ bool SensorNetwork::moveSensor(NodeId v, const Point2D& newPosition) {
   // Queried first, so a point off the index's grid is refused before
   // anything changes. v still sits at its old position here, so the
   // result may hold v itself; the re-wiring below skips it.
-  const std::vector<NodeId> nearby = index_.queryNeighbors(newPosition);
+  index_.queryNeighbors(newPosition, nearby_);
 
   // 1. Leave the structure (if inside); the subtree re-homes through the
   //    regular node-move-out machinery, but the node stays deployed.
@@ -104,7 +104,7 @@ bool SensorNetwork::moveSensor(NodeId v, const Point2D& newPosition) {
   for (NodeId u : std::vector<NodeId>(graph_->neighbors(v)))
     graph_->removeEdge(v, u);
   index_.updatePosition(v, newPosition);
-  for (NodeId u : nearby) {
+  for (NodeId u : nearby_) {
     if (u != v && graph_->isAlive(u)) graph_->addEdge(v, u);
   }
 

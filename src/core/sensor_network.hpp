@@ -211,6 +211,9 @@ class SensorNetwork {
   std::unique_ptr<Graph> graph_;
   std::unique_ptr<ClusterNet> net_;
   UnitDiskIndex index_;
+  /// Query buffer of addSensor and moveSensor. Only they use it, and a
+  /// network has one writer, so a member buffer is safe.
+  std::vector<NodeId> nearby_;
   bool autoRepair_ = false;
 
   void buildFromPoints(const ClusterNetConfig& clusterConfig);

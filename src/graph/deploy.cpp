@@ -60,7 +60,7 @@ std::vector<Point2D> deployIncrementalAttach(const DeployConfig& cfg,
     bool placed = false;
     for (int attempt = 0; attempt < maxRejects; ++attempt) {
       candidate = uniformPoint(cfg.field, rng);
-      if (!index.queryNeighbors(candidate).empty()) {
+      if (index.hasNeighbor(candidate)) {
         placed = true;
         break;
       }
