@@ -167,5 +167,86 @@ TEST(UnitDiskPropertyTest, UpdatePositionMatchesBruteForceUnderMotion) {
   }
 }
 
+TEST(UnitDiskPropertyTest, QueryFormsAgreeUnderChurnAndMotion) {
+  // hasNeighbor and the buffer form answer from the same visiting loop
+  // as the vector form; they must agree with it and with the definition
+  // on probes anywhere, cell corners and negative coordinates included,
+  // while inserts, removes and cross-cell moves reshape the cell lists
+  // between probes.
+  Rng rng(0xD15C3);
+  const double range = 40.0;
+  UnitDiskIndex index(range);
+  std::vector<Point2D> pos;
+  std::vector<bool> live;
+  std::vector<NodeId> buffer;
+  const auto randomPoint = [&rng] {
+    return Point2D{rng.uniformReal(-300.0, 300.0),
+                   rng.uniformReal(-300.0, 300.0)};
+  };
+  const auto probePoint = [&]() -> Point2D {
+    switch (rng.uniform(3)) {
+      case 0:  // a cell corner, often negative
+        return {range * static_cast<double>(rng.uniform(17)) - 8 * range,
+                range * static_cast<double>(rng.uniform(17)) - 8 * range};
+      case 1:  // near a stored point, which may have left
+        if (!pos.empty()) {
+          const Point2D& at = pos[rng.uniform(pos.size())];
+          return {at.x + rng.uniformReal(-range, range),
+                  at.y + rng.uniformReal(-range, range)};
+        }
+        return randomPoint();
+      default:
+        return randomPoint();
+    }
+  };
+
+  for (int step = 0; step < 1500; ++step) {
+    const std::uint64_t op = rng.uniform(4);
+    std::vector<NodeId> liveIds;
+    for (NodeId v = 0; v < pos.size(); ++v)
+      if (live[v]) liveIds.push_back(v);
+    if (op <= 1 || liveIds.empty()) {
+      // Most ids are fresh; a few re-enter after a removal.
+      const Point2D p = randomPoint();
+      if (liveIds.size() < pos.size() && rng.chance(0.3)) {
+        NodeId v = static_cast<NodeId>(rng.uniform(pos.size()));
+        while (live[v]) v = (v + 1) % static_cast<NodeId>(pos.size());
+        index.insert(v, p);
+        pos[v] = p;
+        live[v] = true;
+      } else {
+        index.insert(static_cast<NodeId>(pos.size()), p);
+        pos.push_back(p);
+        live.push_back(true);
+      }
+    } else if (op == 2) {
+      const NodeId v = liveIds[rng.uniform(liveIds.size())];
+      index.remove(v);
+      live[v] = false;
+    } else {
+      // Across cells: a jump of at least one range in x.
+      const NodeId v = liveIds[rng.uniform(liveIds.size())];
+      const Point2D p{pos[v].x + (rng.chance(0.5) ? 1.0 : -1.0) *
+                                     rng.uniformReal(range, 3 * range),
+                      pos[v].y + rng.uniformReal(-range, range)};
+      index.updatePosition(v, p);
+      pos[v] = p;
+    }
+
+    for (int probe = 0; probe < 4; ++probe) {
+      const Point2D q = probePoint();
+      std::vector<NodeId> expected;
+      for (NodeId v = 0; v < pos.size(); ++v)
+        if (live[v] && inRange(pos[v], q, range)) expected.push_back(v);
+      const std::vector<NodeId> got = index.queryNeighbors(q);
+      index.queryNeighbors(q, buffer);
+      EXPECT_EQ(got, expected) << "step " << step;
+      EXPECT_EQ(buffer, got) << "step " << step;
+      EXPECT_EQ(index.hasNeighbor(q), !got.empty()) << "step " << step;
+    }
+  }
+  EXPECT_GT(index.size(), 100u);
+}
+
 }  // namespace
 }  // namespace dsn

@@ -15,8 +15,10 @@
 // the calling thread's scratch is warm, ClusterNet::conditionHolds
 // allocates nothing. A fifth pass validates that net whole: after one
 // warm-up call, ClusterNetValidator::validate reports ok without a
-// single allocation. A plain executable (not gtest) so the override sees
-// only our own code paths.
+// single allocation. A sixth pass probes a 2,000-point unit-disk index:
+// once the caller's buffer is warm, hasNeighbor and the buffer form of
+// queryNeighbors allocate nothing. A plain executable (not gtest) so the
+// override sees only our own code paths.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -353,17 +355,60 @@ int run() {
     return 1;
   }
 
+  // Unit-disk index probes: the warm-up sweep sizes the caller's buffer,
+  // then 10,000 more probes of both query forms must not allocate.
+  UnitDiskIndex index(50.0);
+  Rng pointRng(0x1DE7);
+  for (NodeId v = 0; v < 2000; ++v)
+    index.insert(v, {pointRng.uniformReal(0.0, 1000.0),
+                     pointRng.uniformReal(0.0, 1000.0)});
+  std::vector<Point2D> probes;
+  for (int i = 0; i < 10'000; ++i)
+    probes.push_back({pointRng.uniformReal(-50.0, 1050.0),
+                      pointRng.uniformReal(-50.0, 1050.0)});
+  std::vector<NodeId> nearby;
+  auto probeSweep = [&] {
+    std::size_t hits = 0;
+    std::size_t found = 0;
+    for (const Point2D& q : probes) {
+      if (index.hasNeighbor(q)) ++hits;
+      index.queryNeighbors(q, nearby);
+      found += nearby.size();
+    }
+    return std::pair{hits, found};
+  };
+  const auto warmProbes = probeSweep();
+  const std::size_t beforeProbes = g_allocs;
+  g_armed = true;
+  const auto armedProbes = probeSweep();
+  g_armed = false;
+  if (g_allocs != beforeProbes) {
+    std::fprintf(stderr,
+                 "FAIL: %zu heap allocations across %zu warm unit-disk "
+                 "probes (expected 0)\n",
+                 g_allocs - beforeProbes, probes.size());
+    return 1;
+  }
+  if (armedProbes != warmProbes || warmProbes.first == 0 ||
+      warmProbes.first == probes.size()) {
+    std::fprintf(stderr,
+                 "FAIL: %zu of %zu unit-disk probes found a neighbour "
+                 "(expected some but not all, the same each sweep)\n",
+                 armedProbes.first, probes.size());
+    return 1;
+  }
+
   std::printf("ok: 1000 steady-state rounds, 0 allocations, %zu "
               "deliveries + %zu collision sites per round; recorded "
               "rerun stored %zu events (%llu dropped) with 0 "
               "allocations; swarm engine 100->400 rounds added 0 of %zu "
               "setup allocations; %zu warm slot-condition checks, 0 "
               "allocations; warm validation of %zu nodes, 0 "
-              "allocations\n",
+              "allocations; %zu warm unit-disk probes, 0 allocations\n",
               warm.deliveries.size(), warm.collisionSites.size(),
               recorder.storedEvents(),
               static_cast<unsigned long long>(recorder.droppedEvents()),
-              allocsShort, receivers.size(), net.netSize());
+              allocsShort, receivers.size(), net.netSize(), probes.size());
   return 0;
 }
 
