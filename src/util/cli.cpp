@@ -107,7 +107,8 @@ void usage(std::ostream& os, std::string_view command,
   const std::string lead = "usage: " + std::string(command);
   std::string line = lead;
   for (const Flag& f : flags) {
-    std::string item = "[" + std::string(f.names);
+    std::string item = "[";
+    item += f.names;
     if (!f.metavar.empty()) (item += ' ') += f.metavar;
     item += ']';
     if (line.size() > lead.size() &&
