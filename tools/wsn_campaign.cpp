@@ -17,8 +17,9 @@
 //
 // Exit status: 0 when the structure stayed validator-clean after every
 // repair AND settled coverage reached --min-coverage (default 0.99);
-// 1 otherwise; 2 on usage errors and on a configuration the network,
-// mobility or churn layer refuses.
+// 1 otherwise, including a campaign in which no receiver settled, whose
+// coverage was not measured; 2 on usage errors and on a configuration
+// the network, mobility or churn layer refuses.
 #include <cstdio>
 #include <iostream>
 #include <limits>
@@ -186,19 +187,28 @@ int main(int argc, char** argv) {
               << " inc_cost=" << t.incrementalCost
               << " reb_cost=" << t.rebuildCost << "\n";
   }
-  std::printf("coverage=%.6f first_wave=%.6f validator=%s digest=%016llx\n",
-              res.effectiveCoverage(), res.firstWaveCoverage(),
-              res.validatorClean() ? "clean"
-                                   : "DIRTY",
+  // Coverage is a share of the settled receivers. With none settled
+  // nothing was measured, so there is no coverage to print or to pass.
+  const bool measured = res.settled > 0;
+  if (measured)
+    std::printf("coverage=%.6f first_wave=%.6f ", res.effectiveCoverage(),
+                res.firstWaveCoverage());
+  else
+    std::printf("coverage=none first_wave=none ");
+  std::printf("validator=%s digest=%016llx\n",
+              res.validatorClean() ? "clean" : "DIRTY",
               static_cast<unsigned long long>(res.digest));
 
-  const bool ok =
-      res.validatorClean() && res.effectiveCoverage() >= opt.minCoverage;
+  const bool ok = res.validatorClean() && measured &&
+                  res.effectiveCoverage() >= opt.minCoverage;
   if (!ok) {
     std::cerr << "campaign gate FAILED: validator "
-              << (res.validatorClean() ? "clean" : "dirty") << ", coverage "
-              << res.effectiveCoverage() << " vs required " << opt.minCoverage
-              << "\n";
+              << (res.validatorClean() ? "clean" : "dirty") << ", ";
+    if (measured)
+      std::cerr << "coverage " << res.effectiveCoverage() << " vs required "
+                << opt.minCoverage << "\n";
+    else
+      std::cerr << "no receiver settled, so coverage was not measured\n";
     return 1;
   }
   return 0;
