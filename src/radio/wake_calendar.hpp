@@ -7,8 +7,10 @@
 // linked lists threaded through one `next` link per node, so queueing a
 // wake is O(1) and allocation-free. Wakes beyond the horizon wait in an
 // overflow min-heap and move into the ring as the base advances.
-// Draining a round sorts its bucket, so the release order is a pure
-// function of the queued (round, node) pairs, however they were queued.
+// Draining a round walks its bucket into an ordered id set and takes the
+// set's ascending order, so the release order is a pure function of the
+// queued (round, node) pairs, however they were queued, and no drain
+// sorts.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "radio/id_set.hpp"
 #include "util/types.hpp"
 
 namespace dsn {
@@ -47,7 +50,8 @@ class WakeCalendar {
   Round advance(Round r);
 
   /// Replaces `out` with the nodes queued at round `r`, which must be the
-  /// base, in ascending node id, and removes their entries.
+  /// base, in ascending node id, and removes their entries. A node queued
+  /// twice in the round fails a DSN_CHECK.
   void drain(Round r, std::vector<NodeId>& out);
 
   std::size_t horizon() const { return head_.size(); }
@@ -67,6 +71,8 @@ class WakeCalendar {
   std::vector<NodeId> next_;
   // Min-heap (std::greater) over wakes at or beyond base_ + horizon().
   std::vector<Entry> overflow_;
+  // Orders a drained bucket; empty between drains.
+  IdSet order_;
 };
 
 }  // namespace dsn

@@ -10,6 +10,7 @@
 
 #include "radio/protocol.hpp"
 #include "radio/wake_calendar.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dsn {
@@ -65,6 +66,20 @@ TEST(WakeCalendarTest, ReleasesLikeAHeapAcrossTheHorizon) {
   }
   EXPECT_EQ(calendar.advance(r), kNoWake);
   EXPECT_GT(overflowPushes, 100u);
+}
+
+// The calendar holds at most one entry per node; a second push of the
+// same node into one round would close its bucket list on itself, and
+// the drain refuses it instead of walking the loop.
+TEST(WakeCalendarTest, NodeQueuedTwiceInARoundFailsTheDrain) {
+  WakeCalendar calendar;
+  calendar.reset(10, 0, 100);
+  calendar.push(3, 7);
+  calendar.push(5, 7);
+  calendar.push(3, 7);
+  ASSERT_EQ(calendar.advance(7), 7);
+  std::vector<NodeId> woken;
+  EXPECT_THROW(calendar.drain(7, woken), InvariantError);
 }
 
 }  // namespace
