@@ -120,14 +120,13 @@ BENCHMARK(BM_CsrIteration)->Arg(100)->Arg(500);
 
 // One resolution round where 10% of the nodes transmit and the rest
 // listen wide-band — a dense mid-flood round.
-std::vector<Action> resolveActions(const Graph& g, std::vector<NodeId>* tx) {
+std::vector<Action> resolveActions(const Graph& g) {
   std::vector<Action> actions(g.size(), Action::sleep());
   for (NodeId v = 0; v < g.size(); ++v) {
     if (v % 10 == 0) {
       Message m;
       m.sender = v;
       actions[v] = Action::transmit(m, 0);
-      if (tx) tx->push_back(v);
     } else {
       actions[v] = Action::listen(kAllChannels);
     }
@@ -184,7 +183,7 @@ BENCHMARK(BM_ScratchPooled)->Arg(100)->Arg(500);
 void BM_ResolveFullScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph g = buildUnitDiskGraph(paperPoints(n, 10), 50.0);
-  const auto actions = resolveActions(g, nullptr);
+  const auto actions = resolveActions(g);
   for (auto _ : state) {
     const ChannelOutcome& out = resolveRound(g, actions, 1);
     benchmark::DoNotOptimize(out.deliveries.size());
@@ -197,14 +196,24 @@ BENCHMARK(BM_ResolveFullScan)->Arg(100)->Arg(500);
 void BM_ResolveTransmitterDriven(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph g = buildUnitDiskGraph(paperPoints(n, 10), 50.0);
-  std::vector<NodeId> transmitters;
-  const auto actions = resolveActions(g, &transmitters);
+  // The same round as a listen column and transmit records.
+  const auto actions = resolveActions(g);
+  std::vector<Channel> listen(g.size(), kNotListening);
+  std::vector<Transmission> transmissions;
+  for (NodeId v = 0; v < g.size(); ++v) {
+    if (actions[v].type == Action::Type::kTransmit) {
+      transmissions.push_back(
+          Transmission{v, actions[v].channel, actions[v].message});
+    } else {
+      listen[v] = actions[v].channel;
+    }
+  }
   const CsrView& csr = g.csrView();
   ResolveScratch scratch;
   scratch.prepare(g.size(), 1);
   for (auto _ : state) {
     const ChannelOutcome& out =
-        resolveRoundActive(csr, actions, transmitters, 1, scratch);
+        resolveRoundActive(csr, listen, transmissions, 1, scratch);
     benchmark::DoNotOptimize(out.deliveries.size());
   }
   state.SetItemsProcessed(state.iterations() *

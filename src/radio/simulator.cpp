@@ -28,9 +28,10 @@ std::uint16_t frKind(MsgKind k) {
   return static_cast<std::uint16_t>(k);
 }
 
-/// A transmit-side event (sent, dropped or jammed) of node v's action.
-obs::FrEvent txEvent(obs::FrType t, Round r, NodeId v, const Action& a) {
-  return frEvent(t, r, v, 0, a.channel, frKind(a.message.kind));
+/// A transmit-side event (sent, dropped or jammed) of node v's frame.
+obs::FrEvent txEvent(obs::FrType t, Round r, NodeId v, Channel channel,
+                     const Message& m) {
+  return frEvent(t, r, v, 0, channel, frKind(m.kind));
 }
 
 /// The one recording path for radio events: every event goes to the
@@ -162,7 +163,7 @@ void FullScanEngine::advanceTo(Round stop) {
           ++result.jammedLosses;
           recordRadio(sim.trace_, frFault_, frSampled,
                       txEvent(obs::FrType::kJammedTransmit, r, v,
-                              actions_[v]));
+                              actions_[v].channel, actions_[v].message));
           actions_[v] = Action::sleep();
           continue;
         }
@@ -172,12 +173,13 @@ void FullScanEngine::advanceTo(Round stop) {
           ++result.droppedTransmissions;
           recordRadio(sim.trace_, frFault_, frSampled,
                       txEvent(obs::FrType::kDroppedTransmit, r, v,
-                              actions_[v]));
+                              actions_[v].channel, actions_[v].message));
           actions_[v] = Action::sleep();
           continue;
         }
         recordRadio(sim.trace_, frRadio_, frSampled,
-                    txEvent(obs::FrType::kTransmit, r, v, actions_[v]));
+                    txEvent(obs::FrType::kTransmit, r, v, actions_[v].channel,
+                            actions_[v].message));
       } else if (actions_[v].type == Action::Type::kListen) {
         sim.energy_.recordListen(v);
       }
@@ -254,7 +256,15 @@ class ActiveSetEngine : public SimEngine {
 
   const CsrView* csr_ = nullptr;
   std::size_t n_ = 0;
-  std::vector<Action> actions_;
+  // The round's actions without a per-node Action: each node's listen
+  // channel (kNotListening unless it listens this round; the post-round
+  // loop resets every active node, so the column is all kNotListening
+  // between rounds), the frames on air in transmitter order, and each
+  // transmitter's index into them, which a delivery reads to find its
+  // message.
+  std::vector<Channel> listen_;
+  std::vector<Transmission> transmissions_;
+  std::vector<std::uint32_t> txIndex_;
   // pending = live members that still block completion; a node is
   // `resolved` once it reports done or its scheduled death round passes
   // (allDone ignores dead nodes). isDone is monotone by contract, so a
@@ -276,7 +286,6 @@ class ActiveSetEngine : public SimEngine {
   ResolveScratch scratch_;
   ResolveScratch* scr_ = &scratch_;
   std::vector<NodeId> active_;
-  std::vector<NodeId> transmitters_;
   obs::FlightRecorder* frRound_ = nullptr;
   obs::FlightRecorder* frSched_ = nullptr;
   obs::FlightRecorder* frRadio_ = nullptr;
@@ -290,7 +299,8 @@ void ActiveSetEngine::seed(Round from) {
   RadioSimulator& sim = sim_;
   csr_ = &sim.graph_.csrView();
   n_ = sim.graph_.size();
-  actions_.assign(n_, Action::sleep());
+  listen_.resize(n_, kNotListening);
+  txIndex_.resize(n_);
   resolved_.assign(n_, 0);
   pending_ = 0;
   wake_.reset(n_, from, sim.config_.maxRounds);
@@ -331,7 +341,6 @@ void ActiveSetEngine::seed(Round from) {
                                                : &scratch_;
   scr_->prepare(n_, sim.config_.channelCount);
   active_.reserve(n_);
-  transmitters_.reserve(n_);
 }
 
 void ActiveSetEngine::advanceTo(Round stop) {
@@ -339,9 +348,10 @@ void ActiveSetEngine::advanceTo(Round stop) {
   SimResult& result = result_;
   const CsrView& csr = *csr_;
   auto& wake = wake_;
-  auto& actions = actions_;
+  auto& listen = listen_;
+  auto& transmissions = transmissions_;
   auto& active = active_;
-  auto& transmitters = transmitters_;
+  const Channel k = sim.config_.channelCount;
 
   Round r = cursor_;
   while (r < stop) {
@@ -391,7 +401,7 @@ void ActiveSetEngine::advanceTo(Round stop) {
 
     // Phase 1: this round's wakers, ascending node id.
     wake.drain(r, active);
-    transmitters.clear();
+    transmissions.clear();
     if (frRound_ && frSampled)
       frRound_->record(frEvent(obs::FrType::kRoundBegin, r, 0,
                                static_cast<std::uint32_t>(active.size())));
@@ -399,17 +409,16 @@ void ActiveSetEngine::advanceTo(Round stop) {
       if (sim.failures_.isDead(v, r)) continue;  // dead: never re-queued
       if (frSched_ && frSampled)
         frSched_->record(frEvent(obs::FrType::kWakePop, r, v));
-      actions[v] = sim.swarm_->onRound(v, r);
+      const Action a = sim.swarm_->onRound(v, r);
 
-      if (actions[v].type == Action::Type::kTransmit) {
+      if (a.type == Action::Type::kTransmit) {
         sim.energy_.recordTransmit(v);
         if (sim.failures_.isJammed(v, r)) {
           // Energy spent, frame smothered by the jammer.
           ++result.jammedLosses;
           recordRadio(sim.trace_, frFault_, frSampled,
-                      txEvent(obs::FrType::kJammedTransmit, r, v,
-                              actions[v]));
-          actions[v] = Action::sleep();
+                      txEvent(obs::FrType::kJammedTransmit, r, v, a.channel,
+                              a.message));
           continue;
         }
         if (sim.failures_.hasTransientLoss() &&
@@ -417,16 +426,22 @@ void ActiveSetEngine::advanceTo(Round stop) {
           // Energy spent, nothing on air.
           ++result.droppedTransmissions;
           recordRadio(sim.trace_, frFault_, frSampled,
-                      txEvent(obs::FrType::kDroppedTransmit, r, v,
-                              actions[v]));
-          actions[v] = Action::sleep();
+                      txEvent(obs::FrType::kDroppedTransmit, r, v, a.channel,
+                              a.message));
           continue;
         }
         recordRadio(sim.trace_, frRadio_, frSampled,
-                    txEvent(obs::FrType::kTransmit, r, v, actions[v]));
-        transmitters.push_back(v);
-      } else if (actions[v].type == Action::Type::kListen) {
+                    txEvent(obs::FrType::kTransmit, r, v, a.channel,
+                            a.message));
+        txIndex_[v] = static_cast<std::uint32_t>(transmissions.size());
+        transmissions.push_back(Transmission{v, a.channel, a.message});
+      } else if (a.type == Action::Type::kListen) {
+        // Refused here for every listener, as the full scan refuses it,
+        // so no listener can write kNotListening into the column.
+        DSN_REQUIRE(a.channel == kAllChannels || a.channel < k,
+                    "listen channel out of range");
         sim.energy_.recordListen(v);
+        listen[v] = a.channel;
       }
     }
 
@@ -434,12 +449,13 @@ void ActiveSetEngine::advanceTo(Round stop) {
     // Computed only when someone consumes it.
     std::uint64_t resolveWork = 0;
     if (profiler_.active() || (frRound_ && frSampled)) {
-      for (const NodeId tx : transmitters) resolveWork += csr.degree(tx);
+      for (const Transmission& t : transmissions)
+        resolveWork += csr.degree(t.transmitter);
     }
 
     // Phase 2: resolve only around actual transmitters.
-    const ChannelOutcome& outcome = resolveRoundActive(
-        csr, actions, transmitters, sim.config_.channelCount, *scr_);
+    const ChannelOutcome& outcome =
+        resolveRoundActive(csr, listen, transmissions, k, *scr_);
     result.totalTransmissions += outcome.transmissions;
     result.totalDeliveries += outcome.deliveries.size();
     result.totalCollisions += outcome.collisions();
@@ -459,7 +475,7 @@ void ActiveSetEngine::advanceTo(Round stop) {
         continue;
       }
       sim.energy_.recordReceive(d.receiver);
-      const Message& m = actions[d.transmitter].message;
+      const Message& m = transmissions[txIndex_[d.transmitter]].message;
       recordRadio(sim.trace_, frRadio_, frSampled,
                   frEvent(obs::FrType::kDelivery, r, d.receiver,
                           d.transmitter, d.channel, frKind(m.kind)));
@@ -471,7 +487,7 @@ void ActiveSetEngine::advanceTo(Round stop) {
     // active nodes can have changed state (sleepers neither act nor
     // receive), so scanning the active set is exhaustive.
     for (const NodeId v : active) {
-      actions[v] = Action::sleep();
+      listen[v] = kNotListening;
       if (sim.failures_.isDead(v, r)) continue;
       if (!resolved_[v] && sim.swarm_->isDone(v)) {
         resolved_[v] = 1;
@@ -489,7 +505,7 @@ void ActiveSetEngine::advanceTo(Round stop) {
           obs::FrType::kRoundEnd, r, roundDeliveries,
           static_cast<std::uint32_t>(resolveWork), 0,
           static_cast<std::uint16_t>(
-              std::min<std::size_t>(transmitters.size(), 65535))));
+              std::min<std::size_t>(transmissions.size(), 65535))));
     profiler_.endRound(active.size(), resolveWork);
 
     result.rounds = r + 1;

@@ -7,7 +7,7 @@
 // with the flight recorder enabled on a deliberately undersized ring —
 // record() must stay allocation-free even while wrapping (DESIGN.md §13).
 // A third pass runs the whole active-set engine over a structure-of-
-// arrays swarm (DESIGN.md §14): its wake calendar, action table and
+// arrays swarm (DESIGN.md §14): its wake calendar, transmit records and
 // resolve outcome reach a high-water capacity and are then reused, so a 4x
 // longer run must cost exactly as many allocations as a short one — the
 // per-round marginal cost is zero. A fourth pass checks every
@@ -34,6 +34,7 @@
 #include "radio/channel.hpp"
 #include "radio/simulator.hpp"
 #include "tests/cluster/cluster_test_util.hpp"
+#include "tests/radio/active_round.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -124,19 +125,20 @@ int run() {
   // A dense mid-flood round: every 10th node transmits (alternating
   // channels), everyone else listens — half wide-band, half tuned.
   std::vector<Action> actions(g.size(), Action::sleep());
-  std::vector<NodeId> transmitters;
   for (NodeId v = 0; v < g.size(); ++v) {
     if (v % 10 == 0) {
       Message m;
       m.sender = v;
       actions[v] = Action::transmit(m, static_cast<Channel>(v / 10 % 2));
-      transmitters.push_back(v);
     } else {
       actions[v] = Action::listen(
           v % 2 == 0 ? kAllChannels : static_cast<Channel>(v % kChannels));
     }
   }
 
+  const testutil::ActiveRound split = testutil::splitActions(actions);
+  const auto& listen = split.listen;
+  const auto& transmissions = split.transmissions;
   const CsrView& csr = g.csrView();
   ResolveScratch scratch;
   scratch.prepare(g.size(), kChannels);
@@ -144,7 +146,7 @@ int run() {
   // The transmitter-driven resolver must agree with the full scan.
   const ChannelOutcome fullScan = resolveRound(g, actions, kChannels);
   const ChannelOutcome& warm =
-      resolveRoundActive(csr, actions, transmitters, kChannels, scratch);
+      resolveRoundActive(csr, listen, transmissions, kChannels, scratch);
   if (!sameOutcome(fullScan, warm)) {
     std::fprintf(stderr,
                  "FAIL: transmitter-driven outcome differs from full scan\n");
@@ -160,7 +162,7 @@ int run() {
   // zero allocations.
   g_armed = true;
   for (int i = 0; i < 1000; ++i)
-    resolveRoundActive(csr, actions, transmitters, kChannels, scratch);
+    resolveRoundActive(csr, listen, transmissions, kChannels, scratch);
   g_armed = false;
 
   if (g_allocs != 0) {
@@ -184,15 +186,15 @@ int run() {
     g_armed = true;
     for (int round = 0; round < 1000; ++round) {
       const ChannelOutcome& out =
-          resolveRoundActive(csr, actions, transmitters, kChannels, scratch);
+          resolveRoundActive(csr, listen, transmissions, kChannels, scratch);
       // Mirror the simulator's per-round instrumentation.
       obs::FlightRecorder* frRadio = obs::recorderFor<obs::kFrCatRadio>();
       obs::FlightRecorder* frColl = obs::recorderFor<obs::kFrCatCollision>();
       if (frRadio) {
-        for (const NodeId tx : transmitters) {
+        for (const Transmission& tx : transmissions) {
           obs::FrEvent e;
           e.round = static_cast<std::uint32_t>(round);
-          e.node = tx;
+          e.node = tx.transmitter;
           e.type = static_cast<std::uint8_t>(obs::FrType::kTransmit);
           frRadio->record(e);
         }
