@@ -481,6 +481,9 @@ ScenarioOutcome runScenario(SensorNetwork& net,
       case ScenarioEvent::Kind::kLeave: {
         DSN_REQUIRE(net.clusterNet().contains(e.node),
                     "scenario: leave of node not in net");
+        // A crashed node stays in the net until a repair.
+        DSN_REQUIRE(net.graph().isAlive(e.node),
+                    "scenario: leave of node not deployed");
         const auto report = net.removeSensor(e.node);
         os << "leave " << e.node << " -> |T|=" << report.subtreeSize
            << " orphans=" << report.orphaned << " rounds="

@@ -101,8 +101,8 @@ bool SensorNetwork::moveSensor(NodeId v, const Point2D& newPosition) {
   //    slots (withdraw cleared them), so edge changes cannot invalidate
   //    anyone's TDM conditions. The index keeps the id and migrates it
   //    between grid cells in place.
-  for (NodeId u : std::vector<NodeId>(graph_->neighbors(v)))
-    graph_->removeEdge(v, u);
+  formerNeighbors_ = graph_->neighbors(v);
+  for (NodeId u : formerNeighbors_) graph_->removeEdge(v, u);
   index_.updatePosition(v, newPosition);
   for (NodeId u : nearby_) {
     if (u != v && graph_->isAlive(u)) graph_->addEdge(v, u);
@@ -139,6 +139,7 @@ RoundCost SensorNetwork::rebuildStructure() {
 
 MoveOutReport SensorNetwork::removeSensor(NodeId v) {
   DSN_REQUIRE(net_->contains(v), "removeSensor: node not in the net");
+  DSN_REQUIRE(graph_->isAlive(v), "removeSensor: node not deployed");
   index_.remove(v);
   return net_->moveOut(v);  // also removes v from the graph
 }

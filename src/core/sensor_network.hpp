@@ -115,7 +115,9 @@ class SensorNetwork {
   /// PreconditionError and changes nothing.
   NodeId addSensor(const Point2D& p, bool* joined = nullptr);
 
-  /// node-move-out + removal from the deployment.
+  /// node-move-out + removal from the deployment. Refuses a node that is
+  /// not in the net or has crashed (a crashed node stays in the net until
+  /// a repair) before it changes anything.
   MoveOutReport removeSensor(NodeId v);
 
   /// Temporary withdrawal: leaves the structure (subtree re-homes) but
@@ -214,6 +216,9 @@ class SensorNetwork {
   /// Query buffer of addSensor and moveSensor. Only they use it, and a
   /// network has one writer, so a member buffer is safe.
   std::vector<NodeId> nearby_;
+  /// moveSensor's copy of the moving node's old adjacency, which it
+  /// empties while walking it; a member for the same reason.
+  std::vector<NodeId> formerNeighbors_;
   bool autoRepair_ = false;
 
   void buildFromPoints(const ClusterNetConfig& clusterConfig);

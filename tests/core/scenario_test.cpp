@@ -140,6 +140,31 @@ TEST(ScenarioRunnerTest, LeaveOfOutsiderThrows) {
                PreconditionError);
 }
 
+TEST(ScenarioRunnerTest, LeaveOfCrashedNodeIsRefusedUnchanged) {
+  auto net = makeNet(40);
+  runScenario(net, parseScenario("crash 5\n"));
+  ASSERT_TRUE(net.clusterNet().contains(5));
+  ASSERT_FALSE(net.graph().isAlive(5));
+  const std::size_t size = net.size();
+  const std::size_t deployed = net.graph().size();
+  const std::size_t edges = net.graph().edgeCount();
+  const std::string report = net.validate().summary();
+
+  try {
+    runScenario(net, parseScenario("leave 5\n"));
+    FAIL() << "the scenario left a crashed node";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "scenario: leave of node not deployed"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(net.size(), size);
+  EXPECT_EQ(net.graph().size(), deployed);
+  EXPECT_EQ(net.graph().edgeCount(), edges);
+  EXPECT_EQ(net.validate().summary(), report);
+}
+
 TEST(ScenarioRunnerTest, OffGridPointsAreRefusedUnchanged) {
   // 1e300 / range has no 32-bit unit-disk cell index: the network
   // refuses the point before it changes anything.

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "core/sensor_network.hpp"
 
@@ -237,6 +238,34 @@ TEST(SensorNetworkTest, AdjacencyAfterScriptIsPinned) {
         << "preference " << static_cast<int>(row.preference) << ": got 0x"
         << std::hex << networkDigest(net);
   }
+}
+
+// A crashed node stays in the net until a repair, but it has left the
+// radio field and the unit-disk index. Removing it is refused in the
+// network's own words before anything changes.
+TEST(SensorNetworkTest, RemovingACrashedNodeIsRefusedUnchanged) {
+  NetworkConfig cfg;
+  cfg.nodeCount = 40;
+  cfg.seed = 7;
+  SensorNetwork net(cfg);
+  const NodeId victim = net.clusterNet().root() == 5 ? 6 : 5;
+  net.crashSensor(victim);
+  ASSERT_TRUE(net.clusterNet().contains(victim));
+  const std::uint64_t digest = networkDigest(net);
+  const std::size_t size = net.size();
+  const std::string report = net.validate().summary();
+
+  try {
+    net.removeSensor(victim);
+    FAIL() << "removeSensor accepted a crashed node";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("removeSensor: node not deployed"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(networkDigest(net), digest);
+  EXPECT_EQ(net.size(), size);
+  EXPECT_EQ(net.validate().summary(), report);
 }
 
 }  // namespace

@@ -310,6 +310,24 @@ TEST_F(ServeEngineTest, ErrorRecordNamesNoSourceFile) {
             "\n");
 }
 
+TEST_F(ServeEngineTest, LeaveOfCrashedNodeIsAScenarioError) {
+  // A crashed node stays in the net until a repair; the scenario refuses
+  // to leave it before the network's unit-disk index is asked.
+  std::istringstream in(
+      R"({"schema":"dsnet-job-v1","id":7,"nodes":40,)"
+      R"("scenario":"crash 5\nleave 5"})"
+      "\n");
+  std::ostringstream out;
+  ServeEngine engine;
+  EXPECT_EQ(engine.serveStream(in, out).jobsFailed, 1u);
+  EXPECT_EQ(out.str(),
+            R"({"schema":"dsnet-error-v1","tool":"wsn_serve","job":7,)"
+            R"("line":1,"error":"precondition failed: )"
+            R"(net.graph().isAlive(e.node) — scenario: leave of )"
+            R"(node not deployed"})"
+            "\n");
+}
+
 TEST_F(ServeEngineTest, RecordsOmitTimingUnlessRequested) {
   std::vector<ServeJob> jobs{parseJobLine(
       R"({"schema":"dsnet-job-v1","nodes":50,"scenario":"validate"})", 0)};
