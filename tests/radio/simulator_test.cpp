@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 namespace dsn {
 namespace {
@@ -185,6 +186,43 @@ TEST(SimulatorTest, ChannelCountMustFitTheTraceRecord) {
   SimConfig widest;
   widest.channelCount = kMaxChannels;
   EXPECT_NO_THROW({ RadioSimulator sim(g, widest); });
+}
+
+/// Every member listens on one fixed channel, every round.
+class FixedListenSwarm final : public SwarmProtocol {
+ public:
+  explicit FixedListenSwarm(Channel channel) : channel_(channel) {}
+  Action onRound(NodeId, Round) override { return Action::listen(channel_); }
+  void onReceive(NodeId, const Message&, Round, Channel) override {}
+  bool isDone(NodeId) const override { return false; }
+
+ private:
+  Channel channel_;
+};
+
+// With nobody transmitting, no listener is next to a transmitter; the
+// active-set engine still refuses a listen channel out of range, as the
+// full scan does, and kNotListening is no channel a listener may name.
+TEST(SimulatorTest, ListenChannelOutOfRangeIsRefusedByBothEngines) {
+  const Graph g = pair();
+  for (const SimScheduling scheduling :
+       {SimScheduling::kActiveSet, SimScheduling::kFullScan}) {
+    for (const Channel c : {Channel{2}, kNotListening}) {
+      SimConfig cfg;
+      cfg.channelCount = 2;
+      cfg.scheduling = scheduling;
+      RadioSimulator sim(g, cfg);
+      sim.setSwarm(std::make_unique<FixedListenSwarm>(c), {0, 1});
+      try {
+        sim.run();
+        ADD_FAILURE() << "listen on channel " << c << " was accepted";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find("listen channel out of range"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(SimulatorTest, ProtocolAfterRunRejected) {
