@@ -6,9 +6,18 @@
 // recovery bookkeeping must leave every field, every report count, the
 // height and every slot where they are. The kStrict costs were recorded
 // from the build that kept an explicit subtree height in every node.
+//
+// DeparturePinTest covers the departures RoundCostPinTest does not reach:
+// a repair with several detached subtrees under a live root, and a leave
+// and a root withdrawal whose subtree holds a crashed node that no repair
+// has pruned yet. Its values were recorded from the build that kept
+// three copies of move-out's Step 0 (non-root leave, root leave and
+// crash recovery).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <vector>
 
 #include "core/sensor_network.hpp"
 
@@ -29,16 +38,19 @@ void expectCosts(const RoundCost& got, const Costs& want) {
   EXPECT_EQ(got.heartbeat, want.heartbeat);
 }
 
+/// Folds the eight bytes of `x` into FNV-1a digest `h`.
+void fnvMix(std::uint64_t& h, std::uint64_t x) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (x >> (8 * byte)) & 0xFFu;
+    h *= 0x100000001b3ull;
+  }
+}
+
 /// FNV-1a over every net node's id, parent and four slots, then the
 /// root's four window maxima: a changed slot anywhere moves it.
 std::uint64_t slotDigest(const ClusterNet& net) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t x) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (x >> (8 * byte)) & 0xFFu;
-      h *= 0x100000001b3ull;
-    }
-  };
+  const auto mix = [&h](std::uint64_t x) { fnvMix(h, x); };
   for (NodeId v : net.netNodes()) {
     mix(v);
     mix(net.parent(v));
@@ -212,6 +224,208 @@ TEST(RoundCostPinTest, PaperLocalSlotsMeterTheRecordedRounds) {
                  0xf1c47e426509e241ull, 0xf246c9449e7abcaeull,
                  0xc97c36fa244f338dull, 0xbf95f7af08d1b72cull,
                  0x67226139cc513a10ull}});
+}
+
+/// FNV-1a over every net node's id, parent, status, four slots and
+/// relay counts, then the root's four window maxima.
+std::uint64_t structureDigest(const ClusterNet& net) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) { fnvMix(h, x); };
+  for (NodeId v : net.netNodes()) {
+    mix(v);
+    mix(net.parent(v));
+    mix(static_cast<std::uint64_t>(net.status(v)));
+    for (const TimeSlot slot : net.knowledge(v).slots) mix(slot);
+    const auto& relays = net.knowledge(v).relayCount;
+    mix(relays.size());
+    for (const auto& [g, count] : relays) {
+      mix(g);
+      mix(static_cast<std::uint64_t>(count));
+    }
+  }
+  for (std::size_t f = 0; f < kSlotFamilies; ++f)
+    mix(net.rootMaxSlot(static_cast<SlotFamily>(f)));
+  return h;
+}
+
+/// True when `v` lies in the subtree of `top` (`top` included).
+bool inSubtree(const ClusterNet& net, NodeId v, NodeId top) {
+  for (NodeId a = v; a != kInvalidNode; a = net.parent(a))
+    if (a == top) return true;
+  return false;
+}
+
+/// The three lowest-id non-root inner nodes, skipping any that shares a
+/// branch with one already picked, so that no pick lies in another's
+/// subtree.
+std::vector<NodeId> innerNodesInSeparateBranches(const ClusterNet& net) {
+  std::vector<NodeId> picked;
+  for (NodeId v : net.netNodes()) {
+    if (v == net.root() || net.children(v).empty()) continue;
+    bool separate = true;
+    for (NodeId p : picked)
+      separate = separate && !inSubtree(net, v, p) && !inSubtree(net, p, v);
+    if (separate) picked.push_back(v);
+    if (picked.size() == 3) break;
+  }
+  return picked;
+}
+
+/// A 150-node deployment with RoundCostPinTest's multicast groups.
+std::unique_ptr<SensorNetwork> groupedNet(SlotPolicy policy,
+                                          std::uint64_t seed) {
+  NetworkConfig cfg;
+  cfg.nodeCount = 150;
+  cfg.seed = seed;
+  cfg.cluster.slotPolicy = policy;
+  auto net = std::make_unique<SensorNetwork>(cfg);
+  for (NodeId v = 0; v < cfg.nodeCount; v += 7)
+    net->joinGroup(v, static_cast<GroupId>(1 + v % 3));
+  return net;
+}
+
+struct MoveOutPins {
+  std::size_t subtreeSize, orphaned, conditionRepairs;
+  Costs cost, total;
+  std::uint64_t digest;
+};
+
+struct RecoveryPins {
+  std::size_t staleRemoved, reattached, orphaned, conditionRepairs;
+  bool rootReseeded;
+  Costs cost, total;
+  std::uint64_t digest;
+};
+
+void expectMoveOut(const SensorNetwork& net, const MoveOutReport& r,
+                   const MoveOutPins& want) {
+  EXPECT_EQ(r.subtreeSize, want.subtreeSize);
+  EXPECT_EQ(r.orphaned, want.orphaned);
+  EXPECT_EQ(r.conditionRepairs, want.conditionRepairs);
+  expectCosts(r.cost, want.cost);
+  expectCosts(net.clusterNet().costs(), want.total);
+  EXPECT_EQ(structureDigest(net.clusterNet()), want.digest);
+}
+
+void expectRecovery(const SensorNetwork& net, const RecoveryReport& r,
+                    const RecoveryPins& want) {
+  EXPECT_EQ(r.staleRemoved, want.staleRemoved);
+  EXPECT_EQ(r.reattached, want.reattached);
+  EXPECT_EQ(r.orphaned, want.orphaned);
+  EXPECT_EQ(r.conditionRepairs, want.conditionRepairs);
+  EXPECT_EQ(r.rootReseeded, want.rootReseeded);
+  expectCosts(r.cost, want.cost);
+  expectCosts(net.clusterNet().costs(), want.total);
+  EXPECT_EQ(structureDigest(net.clusterNet()), want.digest);
+}
+
+/// What one slot policy must reproduce in the three departure cases.
+/// Each leave is followed by a repair, which must find the leave has
+/// already dropped the crashed node, and by validation. The first two
+/// cases run on seeds whose departure breaks a receiver's slot
+/// condition, so the repair pass and the boundary it walks are pinned
+/// too; the third runs on RoundCostPinTest's seed.
+struct DeparturePins {
+  RecoveryPins branchCrashes;
+  MoveOutPins leave;
+  RecoveryPins leaveRepair;
+  MoveOutPins rootLeave;
+  RecoveryPins rootLeaveRepair;
+};
+
+void runDepartureCases(SlotPolicy policy, const DeparturePins& pins) {
+  {
+    SCOPED_TRACE("repair after crashes in three separate branches");
+    auto net = groupedNet(policy, 388);
+    const std::vector<NodeId> victims =
+        innerNodesInSeparateBranches(net->clusterNet());
+    ASSERT_EQ(victims.size(), 3u);
+    for (NodeId v : victims) net->crashSensor(v);
+    const NodeId root = net->clusterNet().root();
+    const RecoveryReport r = net->repairAfterFailures();
+    EXPECT_EQ(net->clusterNet().root(), root);
+    expectRecovery(*net, r, pins.branchCrashes);
+    EXPECT_TRUE(net->validate().ok()) << net->validate().summary();
+  }
+
+  {
+    SCOPED_TRACE("removeSensor over an unrepaired crash in its subtree");
+    auto net = groupedNet(policy, 377);
+    const NodeId leaver = innerNodeWithSubtree(net->clusterNet());
+    ASSERT_NE(leaver, kInvalidNode);
+    NodeId crashed = kInvalidNode;
+    for (NodeId c : net->clusterNet().children(leaver))
+      if (!net->clusterNet().children(c).empty()) crashed = c;
+    ASSERT_NE(crashed, kInvalidNode);
+    net->crashSensor(crashed);
+    expectMoveOut(*net, net->removeSensor(leaver), pins.leave);
+    EXPECT_FALSE(net->clusterNet().contains(crashed));
+    expectRecovery(*net, net->repairAfterFailures(), pins.leaveRepair);
+    EXPECT_TRUE(net->validate().ok()) << net->validate().summary();
+  }
+
+  {
+    SCOPED_TRACE("withdrawSensor of the root over an unrepaired crash");
+    auto net = groupedNet(policy, 0xC0575);
+    const NodeId crashed = innerNodeWithSubtree(net->clusterNet());
+    ASSERT_NE(crashed, kInvalidNode);
+    net->crashSensor(crashed);
+    expectMoveOut(*net, net->withdrawSensor(net->clusterNet().root()),
+                  pins.rootLeave);
+    EXPECT_FALSE(net->clusterNet().contains(crashed));
+    expectRecovery(*net, net->repairAfterFailures(), pins.rootLeaveRepair);
+    EXPECT_TRUE(net->validate().ok()) << net->validate().summary();
+  }
+}
+
+TEST(DeparturePinTest, StrictSlotsMeterTheRecordedRounds) {
+  runDepartureCases(
+      SlotPolicy::kStrict,
+      {.branchCrashes = {3, 96, 0, 1, false,
+                         {909, 410, 593, 192, 141, 25},
+                         {2590, 987, 1463, 192, 261, 25},
+                         0xfdfc3cfcfc6ba7e5ull},
+       .leave = {55, 1, 1,
+                 {554, 264, 293, 220, 39, 0},
+                 {2336, 845, 1202, 220, 147, 0},
+                 0x446a31a04060093eull},
+       .leaveRepair = {0, 0, 0, 0, false,
+                       {0, 0, 0, 0, 0, 24},
+                       {2336, 845, 1202, 220, 147, 24},
+                       0x446a31a04060093eull},
+       .rootLeave = {149, 1, 0,
+                     {1300, 649, 866, 298, 113, 0},
+                     {2631, 1281, 1718, 298, 223, 0},
+                     0x132210448c183889ull},
+       .rootLeaveRepair = {0, 0, 0, 0, false,
+                           {0, 0, 0, 0, 0, 14},
+                           {2631, 1281, 1718, 298, 223, 14},
+                           0x132210448c183889ull}});
+}
+
+TEST(DeparturePinTest, PaperLocalSlotsMeterTheRecordedRounds) {
+  runDepartureCases(
+      SlotPolicy::kPaperLocal,
+      {.branchCrashes = {3, 96, 0, 1, false,
+                         {909, 383, 593, 192, 141, 25},
+                         {2590, 934, 1458, 192, 261, 25},
+                         0x3af34d36f2069e05ull},
+       .leave = {55, 1, 1,
+                 {554, 237, 293, 220, 39, 0},
+                 {2336, 772, 1189, 220, 147, 0},
+                 0xe9c3915e0fb07a7aull},
+       .leaveRepair = {0, 0, 0, 0, false,
+                       {0, 0, 0, 0, 0, 24},
+                       {2336, 772, 1189, 220, 147, 24},
+                       0xe9c3915e0fb07a7aull},
+       .rootLeave = {149, 1, 0,
+                     {1300, 627, 876, 298, 113, 0},
+                     {2631, 1239, 1724, 298, 223, 0},
+                     0xef880b7841ef8309ull},
+       .rootLeaveRepair = {0, 0, 0, 0, false,
+                           {0, 0, 0, 0, 0, 14},
+                           {2631, 1239, 1724, 298, 223, 14},
+                           0xef880b7841ef8309ull}});
 }
 
 }  // namespace
