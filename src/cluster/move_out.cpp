@@ -1,4 +1,5 @@
-// node-move-out (paper Section 5.2 + DESIGN.md §4(3)(4)).
+// Departures: node-move-out (paper Section 5.2 + DESIGN.md §4(3)(4)) and
+// crash recovery (DESIGN.md §10), which is the move-out nobody announced.
 //
 // Removing node `lev` splits CNet(G_old) into the subtree T rooted at lev
 // and the remainder H (H is parent-closed, so it stays a valid cluster
@@ -6,7 +7,7 @@
 //   Step 0  — height update along the root path (metered per hop; the
 //             height follows from the per-depth node counts); relay-list
 //             decrements for every departing group membership; Eulerian
-//             "delete me" tour over T (metered).
+//             "delete me" tour over T (metered). detachSubtree runs it.
 //   Step 1/2— the nodes of T \ {lev} re-join H one by one through the
 //             re-join sweep (moveInReachable), each once it has a
 //             neighbor already inside the net. Nodes that lost all
@@ -15,26 +16,26 @@
 //             are re-validated and fixed via the Algorithm-3 repair; this
 //             pass is required for Condition 1/2 to survive a departure
 //             and is the step the paper omits (DESIGN.md §4).
-// Root departure re-seeds the structure from the lowest surviving id.
+// Root departure detaches the whole net, and the sweep re-seeds it from
+// the lowest surviving id.
+//
+// A crash gives no announcement: the dead node's record still says
+// inNet, its parent still lists it as a child, and every slot condition
+// that relied on it silently rots. recover() finds the damage with a
+// slotted heartbeat sweep, runs Step 0 on every maximal subtree whose
+// root path crosses a dead node, re-joins the live detached nodes and
+// repairs every receiver: the dead nodes' graph edges went at crash time,
+// so the boundary cannot be enumerated locally.
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "cluster/cnet.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "util/error.hpp"
 
 namespace dsn {
-
-std::vector<NodeId> ClusterNet::collectSubtree(NodeId top) const {
-  requireInNet(top, "collectSubtree");
-  std::vector<NodeId> order{top};
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (NodeId c : know_[order[i]].children) order.push_back(c);
-  }
-  return order;
-}
 
 void ClusterNet::detachNode(NodeId v) {
   NodeKnowledge& k = know_[v];
@@ -59,6 +60,27 @@ void ClusterNet::detachNode(NodeId v) {
   --netSize_;
 }
 
+const std::vector<NodeId>& ClusterNet::detachSubtree(NodeId top) {
+  subtree_.assign(1, top);
+  for (std::size_t i = 0; i < subtree_.size(); ++i) {
+    for (NodeId c : know_[subtree_[i]].children) subtree_.push_back(c);
+  }
+  // Relay-list decrements for every group held inside T, before any
+  // record is wiped. The path starts at the parent and stays inside H
+  // (H is parent-closed), so a plain root-path walk is correct.
+  const NodeId parent = know_[top].parent;
+  if (parent != kInvalidNode) {
+    for (NodeId t : subtree_) {
+      for (GroupId g : know_[t].groups) adjustRelayOnPath(parent, g, -1);
+    }
+  }
+  // Step 0(ii): the "delete me and recalculate" Eulerian tour over T.
+  costs_.eulerTour += eulerRounds(subtree_.size());
+  for (NodeId t : subtree_) detachNode(t);
+  if (parent != kInvalidNode) chargeRootPath(parent);
+  return subtree_;
+}
+
 namespace {
 
 /// Shared telemetry for the two departure flavours.
@@ -72,6 +94,18 @@ void flushMoveOutMetrics(const char* op, const MoveOutReport& report) {
   m.histogram("cluster.move_out_subtree",
               dsn::obs::Histogram::exponentialBounds(12))
       .observe(static_cast<double>(report.subtreeSize));
+}
+
+void flushRecoveryMetrics(const RecoveryReport& report) {
+  if (!obs::enabled()) return;
+  auto& m = obs::globalMetrics();
+  m.counter("cluster.recovery.passes").increment();
+  m.counter("cluster.recovery.stale_removed").increment(report.staleRemoved);
+  m.counter("cluster.recovery.reattached").increment(report.reattached);
+  m.counter("cluster.recovery.orphaned").increment(report.orphaned);
+  m.counter("cluster.recovery.condition_repairs")
+      .increment(report.conditionRepairs);
+  if (report.rootReseeded) m.counter("cluster.recovery.root_reseeds").increment();
 }
 
 }  // namespace
@@ -102,60 +136,52 @@ MoveOutReport ClusterNet::withdraw(NodeId lev) {
 }
 
 MoveOutReport ClusterNet::withdrawInner(NodeId lev) {
-  if (lev == root_) return withdrawRoot();
-
   MoveOutReport report;
-  const std::vector<NodeId> subtree = collectSubtree(lev);
-  report.subtreeSize = subtree.size() - 1;  // T \ {lev}
-
   const RoundCost before = costs_;
+  const bool isRoot = lev == root_;
 
   // Step 0(i): "I will leave" + height updates travel the root path.
   costs_.rootPath += know_[lev].depth;
-
-  // Relay-list decrements for every group held inside the departing
-  // subtree. The decrement path starts at lev's parent and stays inside H
-  // (H is parent-closed), so a plain root-path walk is correct.
-  const NodeId hParent = know_[lev].parent;
-  for (NodeId t : subtree) {
-    for (GroupId g : know_[t].groups) adjustRelayOnPath(hParent, g, -1);
-  }
-
-  // Step 0(ii): the "delete me and recalculate" Eulerian tour over T.
-  costs_.eulerTour += eulerRounds(subtree.size());
+  // Step 0 proper. The leaver stays in the graph (the caller decides
+  // whether to remove it); re-insertion ignores it because it is no
+  // longer inNet, and it is not pending.
+  const std::vector<NodeId>& subtree = detachSubtree(lev);
+  report.subtreeSize = subtree.size() - 1;  // T \ {lev}
+  pending_.assign(subtree.begin() + 1, subtree.end());
 
   // Boundary H receivers that may have lost their unique-slot provider.
-  std::unordered_set<NodeId> inT(subtree.begin(), subtree.end());
-  std::vector<NodeId> boundary;
+  // After the detach, contains() is false on T and true on H.
+  boundary_.clear();
   for (NodeId t : subtree) {
-    for (NodeId u : graph_.neighbors(t)) {
-      if (!inT.count(u) && contains(u)) boundary.push_back(u);
-    }
+    for (NodeId u : graph_.neighbors(t))
+      if (contains(u)) boundary_.push_back(u);
   }
-  std::sort(boundary.begin(), boundary.end());
-  boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                 boundary.end());
+  std::sort(boundary_.begin(), boundary_.end());
+  boundary_.erase(std::unique(boundary_.begin(), boundary_.end()),
+                  boundary_.end());
 
-  // Detach T top-down. The leaver stays in the graph (the caller decides
-  // whether to remove it); re-insertion ignores it because it is no
-  // longer inNet.
-  for (NodeId t : subtree) detachNode(t);
-  chargeRootPath(hParent);
+  if (isRoot) {
+    // The paper defers the root case to a full paper that never appeared;
+    // the sweep re-seeds from the lowest surviving id and rebuilds
+    // incrementally (DESIGN.md §4(3)).
+    root_ = kInvalidNode;
+    rootMax_.fill(0);
+  } else {
+    costs_.eulerTour += eulerRounds(pending_.size() + 1);
+  }
 
   // Steps 1 & 2: re-insert T \ {lev} via node-move-in, each node attaching
   // once it has a neighbor inside the net (the paper's tour visits them in
-  // an order with the same property). The withdrawn node itself never
-  // re-attaches here: it is excluded from `pending`.
-  std::vector<NodeId> pending(subtree.begin() + 1, subtree.end());
-  costs_.eulerTour += eulerRounds(pending.size() + 1);
-  moveInReachable(pending);
-  report.orphaned = pending.size();
+  // an order with the same property). A crashed member that no repair has
+  // pruned has no graph neighbors, so it stays pending and counts as
+  // orphaned.
+  moveInReachable(pending_);
+  report.orphaned = pending_.size();
 
-  // Repair pass: re-validate every boundary receiver (plus re-inserted
-  // nodes are already validated inside moveIn).
-  for (NodeId v : boundary) {
-    if (!contains(v)) continue;
-    if (v == root_) continue;
+  // Repair pass: re-validate every boundary receiver (re-inserted nodes
+  // are already validated inside moveIn). At the root it is empty.
+  for (NodeId v : boundary_) {
+    if (!contains(v) || v == root_) continue;
     if (repairReceiver(v)) ++report.conditionRepairs;
   }
 
@@ -163,30 +189,100 @@ MoveOutReport ClusterNet::withdrawInner(NodeId lev) {
   return report;
 }
 
-MoveOutReport ClusterNet::withdrawRoot() {
-  // The paper defers the root case to a full paper that never appeared;
-  // we re-seed from the lowest surviving id and rebuild incrementally
-  // (DESIGN.md §4(3)).
-  MoveOutReport report;
+bool ClusterNet::hasStaleEntries() const {
+  for (NodeId v = 0; v < know_.size(); ++v) {
+    if (know_[v].inNet && !graph_.isAlive(v)) return true;
+  }
+  return false;
+}
+
+RecoveryReport ClusterNet::recover() {
+  DSN_TIMED_PHASE("cnet.recovery");
+  RecoveryReport report;
   const RoundCost before = costs_;
-  const NodeId oldRoot = root_;
 
-  const std::vector<NodeId> subtree = collectSubtree(oldRoot);
-  report.subtreeSize = subtree.size() - 1;
-  costs_.eulerTour += eulerRounds(subtree.size());
+  // Detection: one beacon window (heads in their u-slots) plus one
+  // response window (members in their up-slots), charged whether or not
+  // anything is found dead. Uses the root's monotone window knowledge —
+  // the windows actually scheduled on air.
+  costs_.heartbeat += static_cast<std::int64_t>(rootMaxUSlot()) +
+                      static_cast<std::int64_t>(rootMaxUpSlot());
 
-  for (NodeId t : subtree) detachNode(t);
-  root_ = kInvalidNode;
-  rootMax_.fill(0);
+  for (NodeId v = 0; v < know_.size(); ++v) {
+    if (know_[v].inNet && !graph_.isAlive(v)) ++report.staleRemoved;
+  }
+  if (report.staleRemoved == 0) {
+    report.cost = costs_ - before;
+    flushRecoveryMetrics(report);
+    return report;
+  }
 
-  // The sweep seeds a fresh root from the lowest live id, then grows as
-  // in the non-root case. A crashed member that recovery has not pruned
-  // yet cannot be seeded; like every dead member it stays pending and
-  // counts as orphaned.
-  std::vector<NodeId> pending(subtree.begin() + 1, subtree.end());
-  moveInReachable(pending);
-  report.orphaned = pending.size();
+  const bool rootDead = root_ != kInvalidNode && !graph_.isAlive(root_);
+  report.rootReseeded = rootDead;
+
+  // Survivors = nodes reachable from a live root via children links over
+  // alive nodes only. Parent-closed by construction, so what survives is
+  // itself a valid cluster net. The BFS queues them in subtree_: they are
+  // the live root's surviving subtree.
+  survivor_.assign(know_.size(), 0);
+  if (!rootDead && root_ != kInvalidNode) {
+    subtree_.assign(1, root_);
+    survivor_[root_] = 1;
+    for (std::size_t i = 0; i < subtree_.size(); ++i) {
+      for (NodeId c : know_[subtree_[i]].children) {
+        if (graph_.isAlive(c)) {
+          survivor_[c] = 1;
+          subtree_.push_back(c);
+        }
+      }
+    }
+  }
+
+  // Everything else in the net is a union of maximal subtrees whose tops
+  // hang off survivors (or the whole net, when the root died). Each goes
+  // through move-out's Step 0; its live nodes wait to re-join.
+  pending_.clear();
+  for (NodeId v = 0; v < know_.size(); ++v) {
+    const NodeKnowledge& k = know_[v];
+    if (!k.inNet || survivor_[v]) continue;
+    if (k.parent != kInvalidNode && !survivor_[k.parent]) continue;
+    for (NodeId t : detachSubtree(v))
+      if (graph_.isAlive(t)) pending_.push_back(t);
+  }
+
+  if (rootDead) {
+    root_ = kInvalidNode;
+    rootMax_.fill(0);
+  }
+
+  // Move-out Steps 1/2, in ascending id. A dead root re-seeds from the
+  // lowest surviving id (DESIGN.md §4(3)).
+  std::sort(pending_.begin(), pending_.end());
+  report.reattached = moveInReachable(pending_);
+  report.orphaned = pending_.size();
+
+  // Slot repair over every surviving receiver. Up-conditions are
+  // pairwise-difference based and only improve on removal; b/l/u
+  // conditions are uniqueness-based and can break, which repairReceiver
+  // fixes.
+  for (NodeId v = 0; v < know_.size(); ++v) {
+    if (!know_[v].inNet || v == root_) continue;
+    if (repairReceiver(v)) ++report.conditionRepairs;
+  }
+
   report.cost = costs_ - before;
+  if (obs::FlightRecorder* fr = obs::recorderFor<obs::kFrCatCluster>())
+    fr->record(obs::makeFrEvent(
+        obs::FrType::kRepair, 0,
+        static_cast<std::uint32_t>(report.staleRemoved),
+        static_cast<std::uint32_t>(report.reattached), 0,
+        static_cast<std::uint16_t>(
+            std::min<std::size_t>(report.orphaned, 65535))));
+  flushRecoveryMetrics(report);
+  if (obs::enabled())
+    obs::globalMetrics()
+        .gauge("cluster.backbone_size")
+        .set(static_cast<double>(backboneCount_));
   return report;
 }
 

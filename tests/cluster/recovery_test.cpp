@@ -1,10 +1,8 @@
-// RecoveryManager (DESIGN.md §10): crash-fault detection, pruning,
-// re-attachment and slot repair — plus the end-to-end acceptance
-// property: crash a chunk of the backbone, repair, and a reliable iCFF
-// wave reaches every alive node of the surviving structure, with results
-// bit-identical at every worker count.
-#include "cluster/recovery.hpp"
-
+// Crash recovery, ClusterNet::recover (DESIGN.md §10): crash-fault
+// detection, pruning, re-attachment and slot repair — plus the end-to-end
+// acceptance property: crash a chunk of the backbone, repair, and a
+// reliable iCFF wave reaches every alive node of the surviving structure,
+// with results bit-identical at every worker count.
 #include <gtest/gtest.h>
 
 #include <vector>
