@@ -6,16 +6,11 @@
 
 namespace dsn {
 
-void FailureModel::scheduleDeath(NodeId v, Round r, bool crash) {
+void FailureModel::killAt(NodeId v, Round r) {
   DSN_REQUIRE(r >= 0, "death round must be non-negative");
   const auto it = deathRound_.find(v);
   if (it == deathRound_.end() || it->second > r) deathRound_[v] = r;
-  if (crash) crashed_[v] = true;
 }
-
-void FailureModel::killAt(NodeId v, Round r) { scheduleDeath(v, r, false); }
-
-void FailureModel::crashAt(NodeId v, Round r) { scheduleDeath(v, r, true); }
 
 void FailureModel::setDropProbability(double p) {
   DSN_REQUIRE(p >= 0.0 && p <= 1.0, "drop probability must be in [0,1]");
@@ -51,10 +46,6 @@ void FailureModel::setPositions(std::vector<Point2D> positions) {
 bool FailureModel::isDead(NodeId v, Round r) const {
   const auto it = deathRound_.find(v);
   return it != deathRound_.end() && r >= it->second;
-}
-
-bool FailureModel::isCrash(NodeId v) const {
-  return crashed_.find(v) != crashed_.end();
 }
 
 bool FailureModel::isJammed(NodeId v, Round r) const {

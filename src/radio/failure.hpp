@@ -2,9 +2,7 @@
 //
 // Four orthogonal mechanisms:
 //   * scheduled death — a node stops participating entirely from a given
-//     round (battery exhaustion); crashAt() additionally marks the death
-//     as *uncooperative* so structure-level recovery can distinguish a
-//     crash from a clean node-move-out;
+//     round (battery exhaustion);
 //   * relay-drop probability — each transmission independently fails to
 //     go on air with probability p (transient radio fault). The node
 //     still spends the energy (it believes it transmitted);
@@ -66,11 +64,6 @@ class FailureModel {
   /// keep the earliest scheduled round.
   void killAt(NodeId v, Round r);
 
-  /// Like killAt, but the death is an uncooperative *crash*: the node
-  /// never announces its departure, so any structure that references it
-  /// goes stale until a recovery pass prunes it.
-  void crashAt(NodeId v, Round r);
-
   /// Every transmission is silently dropped with probability `p` in
   /// [0, 1].
   void setDropProbability(double p);
@@ -91,10 +84,6 @@ class FailureModel {
   void setPositions(std::vector<Point2D> positions);
 
   bool isDead(NodeId v, Round r) const;
-
-  /// True when the uncooperative-crash flavour of death was scheduled
-  /// for `v` (regardless of round).
-  bool isCrash(NodeId v) const;
 
   /// Node `v` sits inside an active jamming zone in round `r`.
   bool isJammed(NodeId v, Round r) const;
@@ -126,7 +115,6 @@ class FailureModel {
 
  private:
   std::unordered_map<NodeId, Round> deathRound_;
-  std::unordered_map<NodeId, bool> crashed_;
   double dropProb_ = 0.0;
   BurstLossParams burst_;
   bool inBurst_ = false;
@@ -134,8 +122,6 @@ class FailureModel {
   std::vector<Point2D> positions_;
   bool hasPositions_ = false;
   Rng rng_{0xFA11FA11u};
-
-  void scheduleDeath(NodeId v, Round r, bool crash);
 };
 
 }  // namespace dsn

@@ -77,21 +77,6 @@ TEST(FailureModelTest, CertainProbabilityAlwaysDrops) {
   for (int i = 0; i < 1000; ++i) EXPECT_TRUE(f.dropsTransmission());
 }
 
-TEST(FailureModelTest, CrashAtMarksUncooperativeDeath) {
-  FailureModel f;
-  f.killAt(1, 5);
-  f.crashAt(2, 7);
-  EXPECT_FALSE(f.isCrash(1));
-  EXPECT_TRUE(f.isCrash(2));
-  EXPECT_TRUE(f.isDead(2, 7));
-  EXPECT_FALSE(f.isDead(2, 6));
-  // Earliest-round rule holds across flavours, and a later crashAt still
-  // flips the crash flag.
-  f.crashAt(1, 9);
-  EXPECT_TRUE(f.isDead(1, 5));
-  EXPECT_TRUE(f.isCrash(1));
-}
-
 TEST(FailureModelTest, BurstParamsValidated) {
   FailureModel f;
   BurstLossParams p;
