@@ -8,13 +8,7 @@
 namespace dsn {
 
 ClusterNet::ClusterNet(Graph& graph, ClusterNetConfig config)
-    : graph_(graph),
-      config_(std::move(config)),
-      attachRng_(config_.attachSeed) {
-  if (config_.attachPreference == AttachPreference::kBestScore) {
-    DSN_REQUIRE(static_cast<bool>(config_.score),
-                "kBestScore attach preference needs a score callback");
-  }
+    : graph_(graph), config_(config) {
   ensureKnowledgeSize();
 }
 
@@ -97,30 +91,6 @@ TimeSlot ClusterNet::trueMaxSlot(SlotFamily f) const {
   for (const NodeKnowledge& k : know_)
     if (k.inNet) best = std::max(best, k.slot(f));
   return best;
-}
-
-NodeId ClusterNet::selectCandidate(const std::vector<NodeId>& candidates) {
-  DSN_CHECK(!candidates.empty(), "selectCandidate with no candidates");
-  switch (config_.attachPreference) {
-    case AttachPreference::kLowestId:
-      return *std::min_element(candidates.begin(), candidates.end());
-    case AttachPreference::kRandom:
-      return candidates[attachRng_.pickIndex(candidates)];
-    case AttachPreference::kBestScore: {
-      NodeId best = candidates.front();
-      double bestScore = config_.score(best);
-      for (NodeId c : candidates) {
-        const double s = config_.score(c);
-        if (s > bestScore || (s == bestScore && c < best)) {
-          best = c;
-          bestScore = s;
-        }
-      }
-      return best;
-    }
-  }
-  DSN_CHECK(false, "unreachable attach preference");
-  return candidates.front();
 }
 
 bool ClusterNet::canMoveIn(NodeId v) const {

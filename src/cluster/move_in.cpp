@@ -12,6 +12,7 @@
 // rounds).
 
 #include <algorithm>
+#include <utility>
 
 #include "cluster/cnet.hpp"
 #include "obs/metrics.hpp"
@@ -52,28 +53,23 @@ NodeId ClusterNet::moveIn(NodeId v) {
     return kInvalidNode;
   }
 
-  // Apply the Definition-1 priority to U, v's net neighbours: keep those
-  // of the best status present, in neighbour order.
-  candidates_.clear();
+  // Apply the Definition-1 priority to U, v's net neighbours: the parent
+  // is the lowest id among those of the best status present.
+  NodeId w = kInvalidNode;
   for (NodeId u : graph_.neighbors(v)) {
     if (!contains(u)) continue;
-    const NodeStatus s = know_[u].status;
-    if (!candidates_.empty()) {
-      const NodeStatus best = know_[candidates_.front()].status;
-      if (s > best) continue;
-      if (s < best) candidates_.clear();
-    }
-    candidates_.push_back(u);
+    if (w == kInvalidNode ||
+        std::pair(know_[u].status, u) < std::pair(know_[w].status, w))
+      w = u;
   }
-  DSN_REQUIRE(!candidates_.empty(),
+  DSN_REQUIRE(w != kInvalidNode,
               "moveIn: node has no neighbor inside the cluster net");
 
   // Attachment from [19] runs in O(d_new) expected rounds; we charge
   // exactly the degree of the joining node (DESIGN.md §2).
   costs_.attach += static_cast<std::int64_t>(graph_.degree(v));
 
-  const NodeStatus best = know_[candidates_.front()].status;
-  const NodeId w = selectCandidate(candidates_);
+  const NodeStatus best = know_[w].status;
   if (best == NodeStatus::kClusterHead) {
     kv.status = NodeStatus::kPureMember;
   } else if (best == NodeStatus::kGateway) {

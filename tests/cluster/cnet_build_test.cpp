@@ -156,37 +156,6 @@ TEST(CNetBuildTest, ClusterMembersListsChildren) {
   EXPECT_THROW(net.clusterMembers(1), PreconditionError);  // not a head
 }
 
-TEST(CNetBuildTest, AttachPreferenceRandomStillValid) {
-  ClusterNetConfig cfg;
-  cfg.attachPreference = AttachPreference::kRandom;
-  cfg.attachSeed = 99;
-  auto f = testutil::randomNet(4242, 120, 8, 60.0, cfg);
-  EXPECT_EQ(validationErrors(*f.net), "");
-}
-
-TEST(CNetBuildTest, AttachPreferenceBestScore) {
-  Graph g(4);
-  // Node 3 adjacent to heads 0 and 2; score prefers 2.
-  g.addEdge(0, 1);
-  g.addEdge(1, 2);
-  g.addEdge(3, 0);
-  g.addEdge(3, 2);
-  ClusterNetConfig cfg;
-  cfg.attachPreference = AttachPreference::kBestScore;
-  cfg.score = [](NodeId v) { return static_cast<double>(v); };
-  ClusterNet net(g, cfg);
-  net.buildAll({0, 1, 2, 3});
-  EXPECT_EQ(net.parent(3), 2u);
-  EXPECT_EQ(validationErrors(net), "");
-}
-
-TEST(CNetBuildTest, BestScoreWithoutCallbackRejected) {
-  Graph g(1);
-  ClusterNetConfig cfg;
-  cfg.attachPreference = AttachPreference::kBestScore;
-  EXPECT_THROW(ClusterNet(g, cfg), PreconditionError);
-}
-
 TEST(CNetBuildTest, QueriesOnOutsiderThrow) {
   Graph g(2);
   g.addEdge(0, 1);

@@ -195,49 +195,37 @@ NodeId nodeInAnotherCell(const SensorNetwork& net, NodeId v) {
 
 // Adjacency lists, parents and statuses after a fixed script of
 // additions, moves within and across grid cells, a removal and a crash,
-// under each attach preference, recorded from the hash-map spatial
-// index. addSensor and moveSensor wire edges in the order the index
-// answers, and moveIn picks among net neighbours in adjacency order, so
-// an index or candidate-list change that alters either moves a digest.
+// recorded from the hash-map spatial index. addSensor and moveSensor
+// wire edges in the order the index answers, and moveIn picks among net
+// neighbours by status and id, so an index or parent-choice change that
+// alters either moves the digest.
 TEST(SensorNetworkTest, AdjacencyAfterScriptIsPinned) {
-  struct Row {
-    AttachPreference preference;
-    std::uint64_t digest;
-  };
-  const Row rows[] = {{AttachPreference::kLowestId, 0xdba2d520b7117bf9ull},
-                      {AttachPreference::kRandom, 0x15364a3f0c3fbf40ull},
-                      {AttachPreference::kBestScore, 0x763f3bdffc4118f1ull}};
-  for (const Row& row : rows) {
-    NetworkConfig cfg;
-    cfg.nodeCount = 120;
-    cfg.seed = 17;
-    cfg.cluster.attachPreference = row.preference;
-    cfg.cluster.score = [](NodeId v) { return static_cast<double>(v % 7); };
-    SensorNetwork net(cfg);
+  NetworkConfig cfg;
+  cfg.nodeCount = 120;
+  cfg.seed = 17;
+  SensorNetwork net(cfg);
 
-    const Point2D at3 = net.position(3);
-    net.addSensor({at3.x + 10.0, at3.y + 5.0});
-    net.addSensor({9999.0, 9999.0});  // out of range: deployed, not joined
+  const Point2D at3 = net.position(3);
+  net.addSensor({at3.x + 10.0, at3.y + 5.0});
+  net.addSensor({9999.0, 9999.0});  // out of range: deployed, not joined
 
-    // Within its cell: to the centre of the cell node 5 sits in.
-    const double r = net.range();
-    net.moveSensor(5, {(std::floor(net.position(5).x / r) + 0.5) * r,
-                       (std::floor(net.position(5).y / r) + 0.5) * r});
-    // Across cells: next to a node in another cell.
-    const NodeId far = nodeInAnotherCell(net, 8);
-    net.moveSensor(8, {net.position(far).x + 12.0,
-                       net.position(far).y - 7.0});
+  // Within its cell: to the centre of the cell node 5 sits in.
+  const double r = net.range();
+  net.moveSensor(5, {(std::floor(net.position(5).x / r) + 0.5) * r,
+                     (std::floor(net.position(5).y / r) + 0.5) * r});
+  // Across cells: next to a node in another cell.
+  const NodeId far = nodeInAnotherCell(net, 8);
+  net.moveSensor(8, {net.position(far).x + 12.0,
+                     net.position(far).y - 7.0});
 
-    const Point2D at20 = net.position(20);
-    net.removeSensor(20);
-    net.addSensor({at20.x - 4.0, at20.y + 3.0});
-    net.crashSensor(33);
+  const Point2D at20 = net.position(20);
+  net.removeSensor(20);
+  net.addSensor({at20.x - 4.0, at20.y + 3.0});
+  net.crashSensor(33);
 
-    EXPECT_TRUE(net.graph().isAlive(8));
-    EXPECT_EQ(networkDigest(net), row.digest)
-        << "preference " << static_cast<int>(row.preference) << ": got 0x"
-        << std::hex << networkDigest(net);
-  }
+  EXPECT_TRUE(net.graph().isAlive(8));
+  EXPECT_EQ(networkDigest(net), 0xdba2d520b7117bf9ull)
+      << "got 0x" << std::hex << networkDigest(net);
 }
 
 // A crashed node stays in the net until a repair, but it has left the
