@@ -13,19 +13,11 @@
 #include "obs/timer.hpp"
 #include "radio/simulator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dsn {
 
 namespace {
-
-/// SplitMix64 finalizer — the same mixer the experiment seeding uses;
-/// local copy because dsn_broadcast sits below dsn_core.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 /// From the second repair round on, each responder answers with this
 /// probability (a hash-coin backoff that thins colliding replies).

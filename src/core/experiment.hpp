@@ -34,14 +34,9 @@ struct ExperimentConfig {
     return nc;
   }
 
-  /// SplitMix64 finalizer: every input bit avalanches into every output
-  /// bit. The building block of the stream-derivation rule below.
-  static std::uint64_t mix64(std::uint64_t z) {
-    z += 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
+  /// The SplitMix64 finalizer (util/rng.hpp), the building block of the
+  /// stream-derivation rule below.
+  static std::uint64_t mix64(std::uint64_t z) { return dsn::mix64(z); }
 
   /// Stream-derivation rule: one finalizer step per coordinate,
   ///

@@ -12,8 +12,6 @@ namespace dsn::testkit {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
 /// Episode executor: holds the network under test plus the accumulated
 /// fault regime, and applies the oracle battery after every op.
 class Episode {
@@ -53,12 +51,7 @@ class Episode {
   bool ok() const { return result_.ok; }
   bool faultsActive() const { return faultRegime_ != 0; }
 
-  void fold(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      result_.digest ^= (x >> (8 * i)) & 0xffu;
-      result_.digest *= kFnvPrime;
-    }
-  }
+  void fold(std::uint64_t x) { fnvFold(result_.digest, x); }
 
   void foldRun(const BroadcastRun& r) {
     ++result_.simRuns;

@@ -34,6 +34,17 @@
 
 namespace dsn::testkit {
 
+/// FNV-1a offset basis: the empty digest of an episode and a campaign.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// Folds the eight bytes of `x`, low byte first, into FNV-1a `digest`.
+inline void fnvFold(std::uint64_t& digest, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    digest ^= (x >> (8 * i)) & 0xffu;
+    digest *= 0x100000001b3ull;
+  }
+}
+
 /// Execution knobs of one episode.
 struct EpisodeOptions {
   Channel channels = 1;
@@ -55,7 +66,7 @@ struct EpisodeResult {
   /// Index of the op whose checks failed (-1 = deploy-time checks).
   int failingOp = -1;
   /// FNV-1a digest over every deterministic outcome field, in op order.
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::uint64_t digest = kFnvOffset;
   /// Concrete events executed (for .wsn export / replay).
   std::vector<ScenarioEvent> executed;
   std::size_t opsExecuted = 0;

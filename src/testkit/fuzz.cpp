@@ -10,16 +10,8 @@ namespace dsn::testkit {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 /// Failing episodes retained in full (beyond counting).
 constexpr std::size_t kMaxFailuresKept = 5;
-
-void fold(std::uint64_t& digest, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    digest ^= (x >> (8 * i)) & 0xffu;
-    digest *= kFnvPrime;
-  }
-}
 
 }  // namespace
 
@@ -46,7 +38,7 @@ FuzzReport runFuzz(const FuzzConfig& config) {
   report.episodes = config.episodes;
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const Slot& slot = slots[i];
-    fold(report.digest, slot.result.digest);
+    fnvFold(report.digest, slot.result.digest);
     report.opsExecuted += slot.result.opsExecuted;
     report.opsSkipped += slot.result.opsSkipped;
     report.simRuns += slot.result.simRuns;

@@ -40,7 +40,7 @@ struct FuzzReport {
   std::size_t episodes = 0;
   std::size_t failed = 0;
   /// FNV chain over per-episode digests, in episode order.
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::uint64_t digest = kFnvOffset;
   std::size_t opsExecuted = 0;
   std::size_t opsSkipped = 0;
   std::size_t simRuns = 0;

@@ -13,7 +13,7 @@
 
 #include <cstdint>
 
-#include "core/experiment.hpp"
+#include "util/rng.hpp"
 
 namespace dsn::testkit {
 
@@ -28,37 +28,33 @@ inline constexpr std::uint64_t kArenaDomain = 0xF0225EED00000005ull;
 
 /// Root seed of episode `index` under fuzz base seed `base`.
 inline std::uint64_t episodeSeed(std::uint64_t base, std::uint64_t index) {
-  const std::uint64_t s1 =
-      ExperimentConfig::mix64(ExperimentConfig::mix64(base) ^
-                              kEpisodeDomain);
-  return ExperimentConfig::mix64(s1 ^ index);
+  const std::uint64_t s1 = mix64(mix64(base) ^ kEpisodeDomain);
+  return mix64(s1 ^ index);
 }
 
 /// Deployment stream of one episode (drives deployIncrementalAttach, so
 /// the same episode seed at a smaller node count yields a prefix of the
 /// same deployment — the property node-count bisection shrinking needs).
 inline std::uint64_t deploySeed(std::uint64_t episode) {
-  return ExperimentConfig::mix64(episode ^ kDeployDomain);
+  return mix64(episode ^ kDeployDomain);
 }
 
 /// Op-program stream of one episode.
 inline std::uint64_t opsSeed(std::uint64_t episode) {
-  return ExperimentConfig::mix64(episode ^ kOpsDomain);
+  return mix64(episode ^ kOpsDomain);
 }
 
 /// Failure-model stream of communication op `opIndex` of one episode.
 inline std::uint64_t failureSeed(std::uint64_t episode,
                                  std::uint64_t opIndex) {
-  return ExperimentConfig::mix64(
-      ExperimentConfig::mix64(episode ^ kFailureDomain) ^ opIndex);
+  return mix64(mix64(episode ^ kFailureDomain) ^ opIndex);
 }
 
 /// Rival-scheme tuning stream (ArenaTuning::seed — relay coins, backoff
 /// and RLNC coefficient draws) of communication op `opIndex`.
 inline std::uint64_t arenaSeed(std::uint64_t episode,
                                std::uint64_t opIndex) {
-  return ExperimentConfig::mix64(
-      ExperimentConfig::mix64(episode ^ kArenaDomain) ^ opIndex);
+  return mix64(mix64(episode ^ kArenaDomain) ^ opIndex);
 }
 
 }  // namespace dsn::testkit

@@ -5,14 +5,6 @@
 namespace dsn {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -20,8 +12,10 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& s : s_) s = splitmix64(sm);
+  // The first four SplitMix64 outputs from `seed`: output i is the
+  // finalizer of seed + (i + 1) * gamma.
+  for (std::uint64_t i = 0; i < 4; ++i)
+    s_[i] = mix64(seed + i * kSplitMixGamma);
   // Guard against the (astronomically unlikely) all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }

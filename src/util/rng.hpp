@@ -15,6 +15,20 @@
 
 namespace dsn {
 
+/// SplitMix64's golden-ratio increment.
+inline constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ull;
+
+/// SplitMix64 finalizer of z + gamma: every input bit avalanches into
+/// every output bit. Generator seeding, seed-stream derivation
+/// (ExperimentConfig::trialSeed, the fuzz streams), the reliable
+/// broadcast's hash coins and deployment fingerprints all mix through it.
+constexpr std::uint64_t mix64(std::uint64_t z) {
+  z += kSplitMixGamma;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic, portable PRNG (xoshiro256**).
 class Rng {
  public:
